@@ -191,7 +191,7 @@ int run(int argc, const char* const* argv) {
       .flag("obs", "0",
             "1 = share one SimObserver across every cell's shards and dump "
             "latency/eviction histograms plus all counters next to the "
-            "bench JSON (requires a CCC_OBS build)")
+            "bench JSON")
       .flag("obs-cadence", "8",
             "observed cells: time every Nth step (1 = every step)")
       .flag("json", "BENCH_sharded.json", "output JSON path (empty = none)");
@@ -213,11 +213,6 @@ int run(int argc, const char* const* argv) {
   const bool observe = cli.get_bool("obs");
   const std::uint64_t obs_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("obs-cadence"));
-#ifndef CCC_OBS_ENABLED
-  if (observe)
-    throw std::runtime_error(
-        "--obs requires a binary built with -DCCC_OBS=ON");
-#endif
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =
       observe ? obs::TraceEventWriter::from_env() : nullptr;
   obs::MetricsRegistry obs_registry;

@@ -4,19 +4,18 @@
 /// Adoption-grade numbers: nanoseconds per request across tenant counts,
 /// cache sizes and cost families, on Zipf-skewed multi-tenant streams. The
 /// point of the global cross-tenant eviction index is that ALG-DISCRETE's
-/// per-request work is O(log k) *independent of the number of tenants*;
-/// the `convex-scan` rows (per-tenant heaps scanned on every eviction, the
-/// previous layout) collapse as tenants grow while `convex` stays flat.
+/// per-request work is O(log k) *independent of the number of tenants*:
+/// the `convex` rows stay flat as tenants grow.
 ///
 /// Every run is also written as machine-readable JSON (default
 /// `BENCH_throughput.json`) so CI can track the perf trajectory:
 ///
 ///   e6_throughput --tenants 16,256,4096,65536
-///                 --policies convex,convex-scan,lru --json out.json
+///                 --policies convex,lru --json out.json
 ///
-/// Scan-based baselines are auto-skipped above `--max-scan-tenants`
-/// (the quadratic blow-up is the point; no need to wait hours for it) and
-/// the skip is recorded in the JSON.
+/// The literal Fig. 3 baseline (`convex-naive`, O(k) per eviction) is
+/// auto-skipped above `--max-naive-tenants` and the skip is recorded in the
+/// JSON.
 ///
 /// Two pseudo-policies route the trace through a 1-shard ShardedCache
 /// instead of a bare SimulatorSession, measuring the frontend's hit paths
@@ -53,10 +52,7 @@
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
-#ifdef CCC_AUDIT_ENABLED
 #include "audit/audit.hpp"
-#endif
-
 #include "obs/observer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_event.hpp"
@@ -165,7 +161,7 @@ struct BenchRow {
   std::size_t capacity = 0;
   bool skipped = false;
   std::string skip_reason;
-  bool audited = false;       // run with the CCC_AUDIT shadow checks on
+  bool audited = false;       // run with the audit shadow checks on
   PerfCounters perf;          // best (min wall-clock) repeat
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -272,8 +268,7 @@ void write_obs_outputs(const obs::MetricsRegistry& registry,
 /// the min-wall-clock repeat. With `audit` true the runs carry a
 /// ConvexCachingAuditor (cadence `audit_cadence`); any reported violation
 /// aborts the benchmark — an audited number from a broken run is worthless.
-/// `observer`, when non-null, is attached to every repeat (requires a
-/// CCC_OBS build).
+/// `observer`, when non-null, is attached to every repeat.
 void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
              const std::vector<CostFunctionPtr>& costs,
              const std::string& policy_name, std::uint64_t repeats,
@@ -282,28 +277,19 @@ void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
   const auto policy = make_policy(policy_name);
   SimOptions options;
   options.step_observer = observer;
-#ifdef CCC_AUDIT_ENABLED
   AuditConfig audit_config;
   audit_config.step_cadence = audit_cadence;
   audit_config.eviction_cadence = audit_cadence;
   ConvexCachingAuditor auditor(audit_config);
   if (audit) options.auditor = &auditor;
-#else
-  (void)audit_cadence;
-  if (audit)
-    throw std::runtime_error(
-        "--audit requires a binary built with -DCCC_AUDIT=ON");
-#endif
   row.audited = audit;
   bool first = true;
   for (std::uint64_t r = 0; r < repeats; ++r) {
     const SimResult result = run_trace(trace, capacity, *policy, &costs,
                                        options);
-#ifdef CCC_AUDIT_ENABLED
     if (audit && !auditor.report().ok())
       throw std::runtime_error("audit violations in benchmarked run: " +
                                auditor.report().summary());
-#endif
     if (first || result.perf.wall_seconds < row.perf.wall_seconds) {
       row.perf = result.perf;
       row.hits = result.metrics.total_hits();
@@ -438,7 +424,7 @@ int run(int argc, const char* const* argv) {
       "cache sizes and cost families; emits JSON for CI perf tracking");
   cli.flag("tenants", "16,256,4096,65536",
            "comma-separated tenant counts to sweep")
-      .flag("policies", "convex,convex-scan,lru",
+      .flag("policies", "convex,lru",
             "comma-separated policy names (see policy_factory); "
             "sharded-locked / sharded-seqlock route through a 1-shard "
             "ShardedCache on the corresponding hit path")
@@ -449,19 +435,17 @@ int run(int argc, const char* const* argv) {
       .flag("skew", "0.9", "Zipf skew of every tenant's stream")
       .flag("repeats", "1", "measured repeats per cell (min wall-clock wins)")
       .flag("seed", "1234", "trace generator seed")
-      .flag("max-scan-tenants", "8192",
-            "skip convex-scan above this tenant count")
       .flag("max-naive-tenants", "64",
             "skip convex-naive above this tenant count")
       .flag("audit", "0",
-            "1 = add an audited twin row per convex/convex-scan cell "
-            "(requires a CCC_AUDIT build); measures the audit overhead")
+            "1 = add an audited twin row per convex cell; measures the "
+            "audit overhead")
       .flag("audit-cadence", "64",
             "audited rows: run the shadow checks every Nth request/eviction")
       .flag("obs", "0",
             "1 = attach a SimObserver to every measured cell and dump "
             "latency/eviction histograms plus all counters next to the "
-            "bench JSON (requires a CCC_OBS build; see --obs-cadence)")
+            "bench JSON (see --obs-cadence)")
       .flag("sharded-batch", "256",
             "sharded cells: requests per access_batch() submission "
             "(1 = drive access() per request)")
@@ -491,24 +475,13 @@ int run(int argc, const char* const* argv) {
   const double skew = cli.get_double("skew");
   const std::uint64_t repeats = std::max<std::uint64_t>(1,
                                                         cli.get_u64("repeats"));
-  const std::uint64_t max_scan = cli.get_u64("max-scan-tenants");
   const std::uint64_t max_naive = cli.get_u64("max-naive-tenants");
   const bool audit = cli.get_bool("audit");
   const std::uint64_t audit_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("audit-cadence"));
-#ifndef CCC_AUDIT_ENABLED
-  if (audit)
-    throw std::runtime_error(
-        "--audit requires a binary built with -DCCC_AUDIT=ON");
-#endif
   const bool observe = cli.get_bool("obs");
   const std::uint64_t obs_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("obs-cadence"));
-#ifndef CCC_OBS_ENABLED
-  if (observe)
-    throw std::runtime_error(
-        "--obs requires a binary built with -DCCC_OBS=ON");
-#endif
   // Optional Chrome trace spans (CCC_OBS_TRACE=path), shared by all cells.
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =
       observe ? obs::TraceEventWriter::from_env() : nullptr;
@@ -536,10 +509,7 @@ int run(int argc, const char* const* argv) {
         row.tenants = tenants;
         row.capacity = capacity;
 
-        if (policy_name == "convex-scan" && n64 > max_scan) {
-          row.skipped = true;
-          row.skip_reason = "tenants > max-scan-tenants";
-        } else if (policy_name == "convex-naive" && n64 > max_naive) {
+        if (policy_name == "convex-naive" && n64 > max_naive) {
           row.skipped = true;
           row.skip_reason = "tenants > max-naive-tenants";
         }
@@ -554,10 +524,8 @@ int run(int argc, const char* const* argv) {
         // an audited twin, so the JSON carries overhead pairs. (The sharded
         // pseudo-policies take neither an auditor nor audit twins: the
         // frontend owns its sessions.)
-        const bool audit_capable =
-            policy_name == "convex" || policy_name == "convex-scan";
         for (const bool audited : {false, true}) {
-          if (audited && !(audit && audit_capable)) continue;
+          if (audited && !(audit && policy_name == "convex")) continue;
           BenchRow cell = row;
           std::unique_ptr<obs::SimObserver> observer;
           if (observe) {

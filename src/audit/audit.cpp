@@ -5,7 +5,6 @@
 #include <queue>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/invariants.hpp"
 #include "core/primal_dual.hpp"
@@ -236,27 +235,6 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
       violation("index-state",
                 "bump of tenant " + std::to_string(t) + " is not finite",
                 time);
-
-  if (policy.options_.index == VictimIndex::kTenantScan) {
-    // Scan mode: every resident page needs a fresh entry in its tenant's
-    // heap (key match ⇒ the entry scores correctly, keys are exact).
-    std::unordered_set<PageId> covered;
-    for (const auto& heap : policy.heaps_)
-      for (const auto& entry : heap_container(heap)) {
-        const auto it = policy.pages_.find(entry.page);
-        if (it != policy.pages_.end() && it->second.key == entry.key)
-          covered.insert(entry.page);
-      }
-    for (const auto& [page, state] : policy.pages_) {
-      (void)state;
-      if (!covered.contains(page))
-        violation("index-coverage",
-                  "resident page " + page_str(page) +
-                      " has no fresh posting in its tenant heap",
-                  time);
-    }
-    return;
-  }
 
   const auto& entries = heap_container(policy.global_);
   // Stale-fraction bound: dead postings are compacted 4:1, so the heap can

@@ -35,9 +35,6 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   tenant_bump_.assign(ctx.num_tenants, 0.0);
   evictions_.assign(ctx.num_tenants, 0);
   dual_mass_.assign(ctx.num_tenants, 0.0);
-  heaps_.assign(
-      options_.index == VictimIndex::kTenantScan ? ctx.num_tenants : 0,
-      MinHeap{});
   // Drop the old postings *before* rewinding their arena (their storage
   // dangles the moment the arena resets), then recycle the blocks.
   global_ = empty_heap();
@@ -56,12 +53,6 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
 
 void ConvexCachingPolicy::rebuild_index() {
   ++counters_.index_rebuilds;
-  if (options_.index == VictimIndex::kTenantScan) {
-    for (auto& heap : heaps_) heap = MinHeap{};
-    for (const auto& [page, state] : pages_)
-      heaps_[state.tenant].push(HeapEntry{state.key, page});
-    return;
-  }
   // Compaction boundary = arena epoch boundary: destroy the old postings,
   // rewind the arena, and build the replacement out of the recycled blocks.
   // After the first few cycles the block set plateaus at the heap's
@@ -131,10 +122,6 @@ void ConvexCachingPolicy::set_budget(PageId page, TenantId tenant) {
   // any) becomes stale and is skipped lazily.
   const double key = next_marginal(tenant) - tenant_bump_[tenant] + offset_;
   pages_[page] = PageState{key, tenant};
-  if (options_.index == VictimIndex::kTenantScan) {
-    heaps_[tenant].push(HeapEntry{key, page});
-    return;
-  }
   push_global(page, tenant, key);
   if (track_tenant_pages_) tenant_pages_[tenant].insert_or_assign(page, 1);
   maybe_compact();
@@ -146,46 +133,10 @@ void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
   set_budget(request.page, request.tenant);
 }
 
-bool ConvexCachingPolicy::clean_top(TenantId tenant, HeapEntry& top) {
-  MinHeap& heap = heaps_[tenant];
-  while (!heap.empty()) {
-    const HeapEntry candidate = heap.top();
-    const auto it = pages_.find(candidate.page);
-    if (it != pages_.end() && it->second.tenant == tenant &&
-        it->second.key == candidate.key) {
-      top = candidate;
-      return true;
-    }
-    heap.pop();  // stale: page evicted or budget re-set since
-    ++counters_.heap_pops;
-    ++counters_.stale_skips;
-  }
-  return false;
-}
-
-PageId ConvexCachingPolicy::choose_victim_scan() {
-  // The global debit offset shifts every effective budget equally, so only
-  // the per-tenant bumps differentiate tenants: victim = argmin over
-  // tenants of (clean heap top key + tenant bump), ties broken by page id.
-  bool found = false;
-  double best_eff = 0.0;
-  PageId best_page = 0;
-  for (TenantId tenant = 0; tenant < heaps_.size(); ++tenant) {
-    HeapEntry top;
-    if (!clean_top(tenant, top)) continue;
-    const double eff = effective(top.key, tenant);
-    if (!found || eff < best_eff ||
-        (eff == best_eff && top.page < best_page)) {
-      found = true;
-      best_eff = eff;
-      best_page = top.page;
-    }
-  }
-  CCC_CHECK(found, "ConvexCaching asked for a victim with an empty cache");
-  return best_page;
-}
-
-PageId ConvexCachingPolicy::choose_victim_global() {
+PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
+                                          TimeStep time) {
+  maybe_roll_window(time);
+  ++counters_.evictions;
   // Lazy-invalidation invariant: every resident page has at least one
   // posting whose score is ≤ its current (key + bump) — postings go stale
   // only by under-estimating (bumps of convex tenants only grow; shrinking
@@ -219,14 +170,6 @@ PageId ConvexCachingPolicy::choose_victim_global() {
   }
   CCC_CHECK(false, "ConvexCaching asked for a victim with an empty cache");
   return 0;  // unreachable
-}
-
-PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
-                                          TimeStep time) {
-  maybe_roll_window(time);
-  ++counters_.evictions;
-  return options_.index == VictimIndex::kTenantScan ? choose_victim_scan()
-                                                    : choose_victim_global();
 }
 
 void ConvexCachingPolicy::repost_tenant(TenantId owner) {
@@ -292,8 +235,7 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
     // Convex costs only grow the bump, which the global index absorbs
     // lazily; a shrinking bump (§2.5 non-convex costs) makes existing
     // postings over-estimate, so re-post the tenant's pages eagerly.
-    if (delta < 0.0 && options_.index == VictimIndex::kGlobalHeap)
-      repost_tenant(owner);
+    if (delta < 0.0) repost_tenant(owner);
   }
 }
 
@@ -315,7 +257,6 @@ std::string ConvexCachingPolicy::name() const {
   std::string n = "ConvexCaching";
   if (options_.derivative == DerivativeMode::kDiscreteMarginal)
     n += "[discrete]";
-  if (options_.index == VictimIndex::kTenantScan) n += "[scan-index]";
   if (!options_.debit_survivors) n += "[no-debit]";
   if (!options_.bump_victim_tenant) n += "[no-bump]";
   if (options_.window_length > 0)

@@ -17,25 +17,18 @@
 /// This class is the production implementation. The "debit everyone" step
 /// is folded into a global offset (it cannot change the argmin) and the
 /// per-tenant bump into a per-tenant offset, so per-page keys are immutable
-/// between touches. Victim selection is served by one of two indexes:
+/// between touches. Victim selection is served by a single cross-tenant
+/// lazy min-heap over (key + tenant bump, page id). Per-tenant bumps
+/// invalidate that tenant's entries *lazily* — a popped entry whose stored
+/// score no longer matches `key + tenant_bump_[i]` is re-pushed at its
+/// current score — so every operation is amortized O(log k) regardless of
+/// the number of tenants. This is the Landlord-style credit-index layout
+/// (Young's on-line file caching) applied to the paper's budgets.
 ///
-///  - `VictimIndex::kGlobalHeap` (default): a single cross-tenant lazy
-///    min-heap over (key + tenant bump, page id). Per-tenant bumps
-///    invalidate that tenant's entries *lazily* — a popped entry whose
-///    stored score no longer matches `key + tenant_bump_[i]` is re-pushed
-///    at its current score — so every operation is amortized O(log k)
-///    regardless of the number of tenants. This is the Landlord-style
-///    credit-index layout (Young's on-line file caching) applied to the
-///    paper's budgets.
-///  - `VictimIndex::kTenantScan`: one lazy min-heap per tenant, scanned in
-///    full on each eviction — O(n_tenants) per miss. Kept as the second
-///    differential-testing implementation and as the benchmark baseline
-///    showing what the global index buys at high tenant counts.
-///
-/// Both indexes compute budgets with the identical floating-point
-/// expressions, so on integer-valued cost families their victim sequences
-/// match each other — and the literal Fig. 3 transcription
-/// (NaiveConvexCachingPolicy) — bit for bit.
+/// Budgets are computed with the same floating-point expressions as the
+/// literal Fig. 3 transcription (NaiveConvexCachingPolicy), so on
+/// integer-valued cost families the two victim sequences match bit for
+/// bit.
 ///
 /// §2.5: with `DerivativeMode::kDiscreteMarginal` the analytic derivative
 /// is replaced by `f(m+1) − f(m)`, which supports arbitrary — non-convex,
@@ -61,16 +54,9 @@ enum class DerivativeMode {
   kDiscreteMarginal,  ///< f(m+1) − f(m), the §2.5 generalization
 };
 
-/// Which data structure answers "page with the smallest budget".
-enum class VictimIndex {
-  kGlobalHeap,  ///< cross-tenant lazy min-heap — amortized O(log k)
-  kTenantScan,  ///< per-tenant heaps + full scan — O(n_tenants) per evict
-};
-
 /// Ablation switches for experiment E5. Production defaults: all on.
 struct ConvexCachingOptions {
   DerivativeMode derivative = DerivativeMode::kAnalytic;
-  VictimIndex index = VictimIndex::kGlobalHeap;
   /// Fig. 3 step "B(p') ← B(p') − B(p)". Off ⇒ budgets never decay and the
   /// policy degenerates toward evict-lowest-marginal-tenant.
   bool debit_survivors = true;
@@ -142,7 +128,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
            options_.debit_survivors && options_.bump_victim_tenant;
   }
 
-  /// Live entry count of the global index (diagnostic; 0 in scan mode).
+  /// Live entry count of the global index (diagnostic).
   [[nodiscard]] std::size_t index_size() const noexcept {
     return global_.size();
   }
@@ -190,26 +176,6 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
 
   void set_budget(PageId page, TenantId tenant);
 
-  // -- per-tenant index (VictimIndex::kTenantScan) --------------------------
-
-  struct HeapEntry {
-    double key;
-    PageId page;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.key != b.key) return a.key > b.key;
-      return a.page > b.page;
-    }
-  };
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                      std::greater<HeapEntry>>;
-
-  /// Pops stale entries; returns false if the tenant has no resident page.
-  [[nodiscard]] bool clean_top(TenantId tenant, HeapEntry& top);
-
-  [[nodiscard]] PageId choose_victim_scan();
-
-  // -- global index (VictimIndex::kGlobalHeap) ------------------------------
-
   /// One posting in the cross-tenant index. `score` is the cross-tenant
   /// comparison value `key + tenant_bump_[tenant]` frozen at push time
   /// (the global `offset_` shifts every page equally and is left out);
@@ -245,8 +211,6 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   }
 
   void push_global(PageId page, TenantId tenant, double key);
-
-  [[nodiscard]] PageId choose_victim_global();
 
   /// Rebuilds the global heap from the resident set when dead postings
   /// outnumber live pages by `kCompactionFactor` (hit-heavy streams refresh
@@ -284,12 +248,11 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   std::vector<double> tenant_bump_;      ///< cumulative per-tenant bumps
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
   std::vector<double> dual_mass_;        ///< Σ B(victim) per victim owner
-  std::vector<MinHeap> heaps_;           ///< scan mode: one heap per tenant
   // Declaration order matters: the arenas must outlive (so: precede) every
   // container whose allocator points into them.
   util::Arena index_arena_;     ///< backs the global heap's postings
   util::Arena registry_arena_;  ///< backs the tenant_pages_ sets
-  /// Heap mode: one heap, all tenants (arena-backed — see IndexVector).
+  /// One heap, all tenants (arena-backed — see IndexVector).
   GlobalHeap global_{std::greater<IndexEntry>{},
                      IndexVector(IndexAlloc(&index_arena_))};
   util::FlatMap<PageState> pages_;       ///< resident pages (flat, SoA)

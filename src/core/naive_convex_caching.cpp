@@ -1,5 +1,7 @@
 #include "core/naive_convex_caching.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace ccc {
@@ -21,6 +23,7 @@ void NaiveConvexCachingPolicy::reset(const PolicyContext& ctx) {
   slot_budget_.reserve(ctx.capacity);
   slot_tenant_.reserve(ctx.capacity);
   evictions_.assign(ctx.num_tenants, 0);
+  current_window_ = 0;
 }
 
 double NaiveConvexCachingPolicy::derivative_at(TenantId tenant,
@@ -31,8 +34,22 @@ double NaiveConvexCachingPolicy::derivative_at(TenantId tenant,
   return f.value(next_miss) - f.value(next_miss - 1.0);
 }
 
+void NaiveConvexCachingPolicy::maybe_roll_window(TimeStep time) {
+  // Per-window accounting (ConvexCachingOptions::window_length): when
+  // time / window_length changes, every m(i) restarts at 0 and every
+  // resident budget re-bases to B(p) ← f'_{i(p)}(1).
+  if (options_.window_length == 0) return;
+  const std::size_t window = time / options_.window_length;
+  if (window == current_window_) return;
+  current_window_ = window;
+  std::fill(evictions_.begin(), evictions_.end(), 0);
+  for (std::size_t s = 0; s < slot_budget_.size(); ++s)
+    slot_budget_[s] = derivative_at(slot_tenant_[s], 1.0);
+}
+
 void NaiveConvexCachingPolicy::on_hit(const Request& request,
-                                      TimeStep /*time*/) {
+                                      TimeStep time) {
+  maybe_roll_window(time);
   // "bring in page p_t in cache and update B(p_t) ← f'(m(i(p_t),t−1)+1)"
   const auto it = slot_of_.find(request.page);
   CCC_CHECK(it != slot_of_.end(), "NaiveConvexCaching hit on untracked page");
@@ -41,7 +58,8 @@ void NaiveConvexCachingPolicy::on_hit(const Request& request,
 }
 
 PageId NaiveConvexCachingPolicy::choose_victim(const Request& /*request*/,
-                                               TimeStep /*time*/) {
+                                               TimeStep time) {
+  maybe_roll_window(time);
   // "Let p be the page in the cache with smallest B(p)."
   // Linear argmin over the dense array; the (budget, page-id) tie-break is
   // a total order, so the result is independent of slot order.
@@ -99,7 +117,8 @@ void NaiveConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
 }
 
 void NaiveConvexCachingPolicy::on_insert(const Request& request,
-                                         TimeStep /*time*/) {
+                                         TimeStep time) {
+  maybe_roll_window(time);
   // "Set B(p_t) ← f'(m(i(p_t),t−1)+1)" — with m already reflecting this
   // step's eviction, which together with the same-tenant bump equals the
   // figure's update order (see DESIGN.md §5).

@@ -32,6 +32,7 @@ class NaiveConvexCachingPolicy final : public ReplacementPolicy {
 
  private:
   [[nodiscard]] double derivative_at(TenantId tenant, double next_miss) const;
+  void maybe_roll_window(TimeStep time);
 
   ConvexCachingOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;
@@ -46,6 +47,7 @@ class NaiveConvexCachingPolicy final : public ReplacementPolicy {
   std::vector<double> slot_budget_;      ///< B(p) for resident pages
   std::vector<TenantId> slot_tenant_;
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
+  std::size_t current_window_ = 0;       ///< time / window_length
 };
 
 }  // namespace ccc

@@ -1,8 +1,8 @@
-// Tests for the src/audit runtime verification layer (CCC_AUDIT builds).
+// Tests for the src/audit runtime verification layer.
 //
 // Two halves:
 //  - Clean runs: the auditor attached to honest ConvexCachingPolicy runs
-//    across cost families, index modes and window modes must report zero
+//    across cost families, derivative modes and window modes must report zero
 //    violations while actually exercising every check (positive counters).
 //  - Mutation runs: AuditTestPeer (a friend of ConvexCachingPolicy)
 //    corrupts one piece of internal state at a time, and the matching
@@ -24,6 +24,7 @@
 #include "cost/combinators.hpp"
 #include "cost/monomial.hpp"
 #include "cost/piecewise_linear.hpp"
+#include "obs/observer.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 
@@ -146,7 +147,6 @@ struct CleanCase {
   const char* name;
   std::vector<CostFunctionPtr> (*costs)(std::uint32_t);
   DerivativeMode derivative;
-  VictimIndex index;
   std::size_t window;
 };
 
@@ -160,7 +160,6 @@ TEST_P(AuditCleanRunTest, NoFalsePositives) {
 
   ConvexCachingOptions options;
   options.derivative = c.derivative;
-  options.index = c.index;
   options.window_length = c.window;
   ConvexCachingPolicy policy(options);
 
@@ -183,24 +182,14 @@ INSTANTIATE_TEST_SUITE_P(
     Families, AuditCleanRunTest,
     ::testing::Values(
         CleanCase{"monomial_global", monomial_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kGlobalHeap, 0},
-        CleanCase{"monomial_scan", monomial_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kTenantScan, 0},
+                  0},
         CleanCase{"monomial_windowed", monomial_costs,
-                  DerivativeMode::kAnalytic, VictimIndex::kGlobalHeap, 64},
+                  DerivativeMode::kAnalytic, 64},
         CleanCase{"monomial_discrete", monomial_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kGlobalHeap,
-                  0},
-        CleanCase{"sla_global", sla_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kGlobalHeap, 0},
-        CleanCase{"sla_scan", sla_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kTenantScan, 0},
+                  DerivativeMode::kDiscreteMarginal, 0},
+        CleanCase{"sla_global", sla_costs, DerivativeMode::kAnalytic, 0},
         CleanCase{"nonconvex_global", nonconvex_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kGlobalHeap,
-                  0},
-        CleanCase{"nonconvex_scan", nonconvex_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kTenantScan,
-                  0}),
+                  DerivativeMode::kDiscreteMarginal, 0}),
     [](const ::testing::TestParamInfo<CleanCase>& param_info) {
       return param_info.param.name;
     });
@@ -256,6 +245,56 @@ TEST(AuditCadence, SamplingSkipsSteps) {
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.steps_observed, trace.size());
   EXPECT_EQ(report.index_checks, trace.size() / 7);
+}
+
+// Hooks observe, never steer: with an auditor and an observer attached at
+// their densest settings, every decision and every per-tenant book must
+// match an unhooked run of the same trace.
+TEST(AuditHooks, AuditorAndObserverDoNotChangeDecisions) {
+  const std::uint32_t tenants = 4;
+  const Trace trace = zipf_trace(tenants, 10, 3000, /*seed=*/5);
+  const auto costs = monomial_costs(tenants);
+  SimOptions plain_options;
+  plain_options.record_events = true;
+  ConvexCachingPolicy plain_policy;
+  const SimResult plain =
+      run_trace(trace, 12, plain_policy, &costs, plain_options);
+
+  AuditConfig audit_config;
+  audit_config.step_cadence = 1;
+  audit_config.eviction_cadence = 1;
+  ConvexCachingAuditor auditor(audit_config);
+  obs::SimObserverOptions observer_options;
+  observer_options.latency_sample_period = 1;
+  obs::SimObserver observer(observer_options);
+  SimOptions hooked_options = plain_options;
+  hooked_options.auditor = &auditor;
+  hooked_options.step_observer = &observer;
+  ConvexCachingPolicy hooked_policy;
+  const SimResult hooked =
+      run_trace(trace, 12, hooked_policy, &costs, hooked_options);
+
+  ASSERT_EQ(plain.events.size(), hooked.events.size());
+  for (std::size_t i = 0; i < plain.events.size(); ++i) {
+    ASSERT_EQ(plain.events[i].hit, hooked.events[i].hit) << "step " << i;
+    ASSERT_EQ(plain.events[i].victim, hooked.events[i].victim)
+        << "step " << i;
+  }
+  for (TenantId t = 0; t < tenants; ++t) {
+    EXPECT_EQ(plain.metrics.hits(t), hooked.metrics.hits(t)) << t;
+    EXPECT_EQ(plain.metrics.misses(t), hooked.metrics.misses(t)) << t;
+    EXPECT_EQ(plain.metrics.evictions(t), hooked.metrics.evictions(t)) << t;
+  }
+  EXPECT_EQ(plain_policy.tenant_evictions(), hooked_policy.tenant_evictions());
+  EXPECT_EQ(plain_policy.dual_mass_by_tenant(),
+            hooked_policy.dual_mass_by_tenant());
+
+  const AuditReport& report = auditor.report();
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.steps_observed, trace.size());
+  EXPECT_GT(hooked.metrics.total_evictions(), 0u);
+  EXPECT_EQ(report.victim_checks, hooked.metrics.total_evictions());
+  EXPECT_EQ(observer.evictions_observed(), hooked.metrics.total_evictions());
 }
 
 TEST(AuditConfig_, RejectsZeroCadence) {

@@ -1,12 +1,13 @@
 // Tests for the O(log k) cross-tenant eviction index of ConvexCachingPolicy:
-// randomized differential replay against the per-tenant-scan index and the
-// literal Fig. 3 transcription (NaiveConvexCachingPolicy), tie-breaking,
-// window-rollover rebuilds, lazy-invalidation repair for non-convex costs,
-// compaction, and the perf counters surfaced through SimResult.
+// randomized differential replay against the literal Fig. 3 transcription
+// (NaiveConvexCachingPolicy), tie-breaking, window-rollover rebuilds,
+// lazy-invalidation repair for non-convex costs, compaction, and the perf
+// counters surfaced through SimResult.
 //
-// All cost families here have integer-valued marginals, so every
-// implementation computes budgets exactly in floating point and victim
+// All cost families here have integer-valued marginals, so both
+// implementations compute budgets exactly in floating point and victim
 // sequences must match bit for bit.
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -22,12 +23,6 @@
 
 namespace ccc {
 namespace {
-
-ConvexCachingOptions scan_options() {
-  ConvexCachingOptions options;
-  options.index = VictimIndex::kTenantScan;
-  return options;
-}
 
 /// Mixed multi-tenant workload: tenant t cycles through Zipf, sequential
 /// scan and shifting-working-set generators, with unequal request rates.
@@ -77,8 +72,8 @@ void expect_identical_decisions(const SimResult& a, const SimResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// Differential replay: global heap vs tenant scan vs naive oracle on
-// randomized mixed traces.
+// Differential replay: global heap vs naive oracle on randomized mixed
+// traces.
 
 struct DiffCase {
   std::uint64_t seed;
@@ -103,14 +98,11 @@ TEST_P(EvictionIndexDifferentialTest, GlobalScanAndNaiveAgree) {
   const auto costs = integer_costs(c.tenants);
 
   ConvexCachingPolicy global_index;
-  ConvexCachingPolicy scan_index(scan_options());
   NaiveConvexCachingPolicy naive;
   SimOptions options;
   options.record_events = true;
   const SimResult g = run_trace(trace, c.k, global_index, &costs, options);
-  const SimResult s = run_trace(trace, c.k, scan_index, &costs, options);
   const SimResult n = run_trace(trace, c.k, naive, &costs, options);
-  expect_identical_decisions(g, s, "global vs scan");
   expect_identical_decisions(g, n, "global vs naive");
 }
 
@@ -128,21 +120,18 @@ INSTANTIATE_TEST_SUITE_P(
 // request an insert+evict pair, so the policies' flat residency tables run
 // a backward-shift erase per step while sitting at their load limit. Any
 // probe chain corrupted by a shift (or a slot leaked across rehash) breaks
-// residency and therefore the victim sequence — which all three
-// implementations must still agree on exactly.
+// residency and therefore the victim sequence — which both implementations
+// must still agree on exactly.
 TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     const Trace trace = mixed_trace(6, 256, 4000, seed);
     const auto costs = integer_costs(6);
     ConvexCachingPolicy global_index;
-    ConvexCachingPolicy scan_index(scan_options());
     NaiveConvexCachingPolicy naive;
     SimOptions options;
     options.record_events = true;
     const SimResult g = run_trace(trace, 8, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 8, scan_index, &costs, options);
     const SimResult n = run_trace(trace, 8, naive, &costs, options);
-    expect_identical_decisions(g, s, "churn global vs scan");
     expect_identical_decisions(g, n, "churn global vs naive");
     // At capacity 8 over a 1536-page universe, misses dominate: the churn
     // premise (an eviction on nearly every step) must actually hold.
@@ -153,8 +142,8 @@ TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
 // The §2.5 discrete-marginal mode on non-convex costs shrinks tenant bumps
 // (a step cost's marginal falls back to 0 after each jump; sqrt marginals
 // decrease monotonically), driving the global index through its eager
-// re-post repair. The scan index handles shrinkage naturally, so agreement
-// proves the repair is complete.
+// re-post repair. The naive oracle applies each bump to every page of the
+// tenant eagerly, so agreement proves the repair is complete.
 TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const Trace trace = mixed_trace(6, 6, 2500, seed);
@@ -167,35 +156,31 @@ TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
     }
     ConvexCachingOptions discrete;
     discrete.derivative = DerivativeMode::kDiscreteMarginal;
-    ConvexCachingOptions discrete_scan = discrete;
-    discrete_scan.index = VictimIndex::kTenantScan;
 
     ConvexCachingPolicy global_index(discrete);
-    ConvexCachingPolicy scan_index(discrete_scan);
     NaiveConvexCachingPolicy naive(discrete);
     SimOptions options;
     options.record_events = true;
     const SimResult g = run_trace(trace, 10, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 10, scan_index, &costs, options);
     const SimResult n = run_trace(trace, 10, naive, &costs, options);
-    expect_identical_decisions(g, s, "non-convex global vs scan");
     expect_identical_decisions(g, n, "non-convex global vs naive");
   }
 }
 
 // ---------------------------------------------------------------------------
 // Tie-breaking: equal effective budgets must resolve to the lowest page id,
-// across tenants, in both index modes.
+// across tenants, in the global index and the naive oracle alike.
 
 TEST(EvictionIndexTieBreak, EqualBudgetsEvictLowestPageId) {
   // Two linear tenants with identical weight: every budget is exactly 3.
   std::vector<CostFunctionPtr> costs;
   costs.push_back(std::make_unique<MonomialCost>(1.0, 3.0));
   costs.push_back(std::make_unique<MonomialCost>(1.0, 3.0));
-  for (const bool scan : {false, true}) {
-    ConvexCachingPolicy policy(scan ? scan_options()
-                                    : ConvexCachingOptions{});
-    SimulatorSession session(3, 2, policy, &costs);
+  ConvexCachingPolicy global_index;
+  NaiveConvexCachingPolicy naive;
+  for (ReplacementPolicy* policy :
+       std::initializer_list<ReplacementPolicy*>{&global_index, &naive}) {
+    SimulatorSession session(3, 2, *policy, &costs);
     // Raw page ids chosen so the lowest id belongs to the tenant touched
     // in the middle — neither insertion order nor tenant order can fake
     // the right answer.
@@ -205,8 +190,8 @@ TEST(EvictionIndexTieBreak, EqualBudgetsEvictLowestPageId) {
     // All three budgets are 3; the victim must be the globally lowest page
     // id — tenant 1's page 10.
     const StepEvent e = session.step({1, 40});
-    ASSERT_TRUE(e.victim.has_value()) << "scan=" << scan;
-    EXPECT_EQ(*e.victim, 10u) << "scan=" << scan;
+    ASSERT_TRUE(e.victim.has_value()) << policy->name();
+    EXPECT_EQ(*e.victim, 10u) << policy->name();
   }
 }
 
@@ -215,38 +200,37 @@ TEST(EvictionIndexTieBreak, TieAfterRefreshUsesCurrentBudgets) {
   // budget and id ordering, not its stale posting.
   std::vector<CostFunctionPtr> costs;
   costs.push_back(std::make_unique<MonomialCost>(1.0, 2.0));
-  for (const bool scan : {false, true}) {
-    ConvexCachingPolicy policy(scan ? scan_options()
-                                    : ConvexCachingOptions{});
-    SimulatorSession session(2, 1, policy, &costs);
+  ConvexCachingPolicy global_index;
+  NaiveConvexCachingPolicy naive;
+  for (ReplacementPolicy* policy :
+       std::initializer_list<ReplacementPolicy*>{&global_index, &naive}) {
+    SimulatorSession session(2, 1, *policy, &costs);
     session.step({0, 4});
     session.step({0, 1});
     session.step({0, 4});  // hit: re-posts page 4 at the same budget (2)
     // Tie between pages 1 and 4 at budget 2 → page 1 goes.
     const StepEvent e = session.step({0, 9});
-    ASSERT_TRUE(e.victim.has_value()) << "scan=" << scan;
-    EXPECT_EQ(*e.victim, 1u) << "scan=" << scan;
+    ASSERT_TRUE(e.victim.has_value()) << policy->name();
+    EXPECT_EQ(*e.victim, 1u) << policy->name();
   }
 }
 
 // ---------------------------------------------------------------------------
 // Window rollover: the index must be rebuilt when budgets re-base.
 
-TEST(EvictionIndexWindow, GlobalAndScanAgreeAcrossBoundaries) {
+TEST(EvictionIndexWindow, GlobalAndNaiveAgreeAcrossBoundaries) {
   for (const std::size_t window : {7u, 32u, 100u}) {
     const Trace trace = mixed_trace(8, 6, 2000, /*seed=*/31 + window);
     const auto costs = integer_costs(8);
     ConvexCachingOptions windowed;
     windowed.window_length = window;
-    ConvexCachingOptions windowed_scan = windowed;
-    windowed_scan.index = VictimIndex::kTenantScan;
     ConvexCachingPolicy global_index(windowed);
-    ConvexCachingPolicy scan_index(windowed_scan);
+    NaiveConvexCachingPolicy naive(windowed);
     SimOptions options;
     options.record_events = true;
     const SimResult g = run_trace(trace, 12, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 12, scan_index, &costs, options);
-    expect_identical_decisions(g, s, "window=" + std::to_string(window));
+    const SimResult n = run_trace(trace, 12, naive, &costs, options);
+    expect_identical_decisions(g, n, "window=" + std::to_string(window));
   }
 }
 
@@ -308,12 +292,6 @@ TEST(EvictionIndexCounters, CostObliviousPoliciesReportZeroIndexWork) {
   EXPECT_EQ(result.perf.requests, trace.size());
   EXPECT_EQ(result.perf.heap_pops, 0u);
   EXPECT_EQ(result.perf.stale_skips, 0u);
-}
-
-TEST(EvictionIndexFactory, ScanVariantIsConstructible) {
-  const auto policy = make_policy("convex-scan");
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->name(), "ConvexCaching[scan-index]");
 }
 
 }  // namespace

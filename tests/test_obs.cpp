@@ -1,8 +1,8 @@
 // Tests for the observability subsystem (src/obs): histogram bucket math,
 // randomized quantiles vs brute force, exact/associative merging, thread
 // safety of record(), the metrics registry (kind clashes, Prometheus and
-// JSON exposition), the trace_event writer, and — in CCC_OBS builds — the
-// SimObserver hooks end to end through SimulatorSession and ShardedCache.
+// JSON exposition), the trace_event writer, and the SimObserver hooks end
+// to end through SimulatorSession and ShardedCache.
 #include "obs/histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -514,8 +514,6 @@ TEST(TraceEventWriter, FromEnvHonorsUnsetVariable) {
 
 // ------------------------------------------------------------ SimObserver
 
-#ifdef CCC_OBS_ENABLED
-
 Trace small_trace(std::uint32_t tenants, std::size_t length,
                   std::uint64_t seed) {
   std::vector<TenantWorkload> workloads;
@@ -686,21 +684,6 @@ TEST(SimObserver, EmitsTraceSpansForEvictions) {
   EXPECT_NE(text.find("\"name\": \"eviction\""), std::string::npos);
   EXPECT_NE(text.find("\"index_work\":"), std::string::npos);
 }
-
-#else  // !CCC_OBS_ENABLED
-
-TEST(SimObserver, AttachingWithoutObsBuildThrows) {
-  // Mirrors the PolicyAuditor contract: observation must never be
-  // silently dropped by a build that compiled the hooks out.
-  SimObserver observer;
-  ConvexCachingPolicy policy;
-  SimOptions options;
-  options.step_observer = &observer;
-  EXPECT_THROW(SimulatorSession(8, 1, policy, nullptr, options),
-               std::invalid_argument);
-}
-
-#endif  // CCC_OBS_ENABLED
 
 }  // namespace
 }  // namespace ccc::obs

@@ -17,19 +17,24 @@
 /// auto-skipped above `--max-naive-tenants` and the skip is recorded in the
 /// JSON.
 ///
-/// Two pseudo-policies route the trace through a 1-shard ShardedCache
-/// instead of a bare SimulatorSession, measuring the frontend's hit paths
-/// under identical decisions: `sharded-locked` (every request takes the
-/// shard mutex) and `sharded-seqlock` (fresh hits bypass it via the
-/// optimistic flat-table probe). Both are timed externally around the
-/// access loop — the seqlock path deliberately does no per-request
-/// bookkeeping — and after the sweep the harness *asserts* that every
-/// locked/seqlock cell pair produced identical hits/misses/evictions:
-/// the optimistic path must buy speed, never different decisions.
+/// Two pseudo-policies route the trace through a ShardedCache instead of a
+/// bare SimulatorSession, measuring the frontend's hit paths under
+/// identical decisions: `sharded-locked` (every request takes the shard
+/// mutex) and `sharded-seqlock` (fresh hits bypass it via the optimistic
+/// flat-table probe). Each sharded cell is one point of a `--shards` ×
+/// `--threads` sweep (both default to 1), replayed by the same
+/// ParallelReplayer that drives the sharded layers elsewhere and timed
+/// around its parallel section — the seqlock path deliberately does no
+/// per-request bookkeeping. Sharded rows also carry Experiment E10's
+/// partitioning cost: Σ_i f_i(misses_i) of the sharded run divided by the
+/// same objective for one unsharded ALG-DISCRETE replay of the identical
+/// trace (exactly 1 at one shard), and the speed-up over the sweep's first
+/// cell. After the sweep the harness *asserts* that every locked/seqlock
+/// cell pair produced identical books: the optimistic path must buy speed,
+/// never different decisions.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -39,12 +44,13 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/convex_caching.hpp"
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
+#include "cost/spec.hpp"
 #include "exp/policy_factory.hpp"
+#include "shard/parallel_replay.hpp"
 #include "shard/sharded_cache.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
@@ -117,43 +123,6 @@ std::uint64_t heap_alloc_count() {
   return g_new_calls.load(std::memory_order_relaxed);
 }
 
-Trace make_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
-                 double skew, std::size_t length, std::uint64_t seed) {
-  std::vector<TenantWorkload> workloads;
-  workloads.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t)
-    workloads.push_back(
-        {std::make_unique<ZipfPages>(pages_per_tenant, skew), 1.0});
-  Rng rng(seed);
-  return generate_trace(std::move(workloads), length, rng);
-}
-
-/// Cost families swept by the harness. Per-tenant parameters rotate so
-/// tenants are not interchangeable (otherwise the convex policy degenerates
-/// to round-robin and the index is never stressed).
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla");
-    }
-  }
-  return costs;
-}
-
 struct BenchRow {
   std::string policy;
   std::string cost_family;
@@ -165,6 +134,13 @@ struct BenchRow {
   PerfCounters perf;          // best (min wall-clock) repeat
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  // Sharded cells only (shards == 0 marks an unsharded row).
+  std::size_t shards = 0;
+  std::size_t threads = 0;
+  double miss_cost = 0.0;      // Σ_i f_i(misses_i)
+  double shard_seconds = 0.0;  // Σ per-shard in-lock time
+  double speedup = 0.0;        // vs the sweep's first (shards, threads) cell
+  double cost_ratio = 0.0;     // miss_cost / unsharded miss_cost
   // --alloc-stats probe rows only (no requests_per_second, so the CI
   // regression gate skips them automatically).
   bool alloc_probe = false;
@@ -173,8 +149,10 @@ struct BenchRow {
   std::uint64_t steady_requests = 0;   // requests in the measured half
 };
 
+constexpr std::string_view kShardedPrefix = "sharded-";
+
 [[nodiscard]] bool is_sharded_policy(const std::string& name) {
-  return name == "sharded-locked" || name == "sharded-seqlock";
+  return name.starts_with(kShardedPrefix);
 }
 
 void write_json(const std::string& path, const Cli& cli,
@@ -192,6 +170,8 @@ void write_json(const std::string& path, const Cli& cli,
   os << "    \"seed\": " << cli.get_u64("seed") << ",\n";
   os << "    \"repeats\": " << cli.get_u64("repeats") << ",\n";
   os << "    \"sharded_batch\": " << cli.get_u64("sharded-batch") << ",\n";
+  os << "    \"shards\": \"" << json_escape(cli.get("shards")) << "\",\n";
+  os << "    \"threads\": \"" << json_escape(cli.get("threads")) << "\",\n";
   os << "    \"tenants\": \"" << json_escape(cli.get("tenants")) << "\",\n";
   os << "    \"policies\": \"" << json_escape(cli.get("policies")) << "\",\n";
   os << "    \"costs\": \"" << json_escape(cli.get("costs")) << "\"\n";
@@ -200,8 +180,10 @@ void write_json(const std::string& path, const Cli& cli,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     os << "    {\"policy\": \"" << json_escape(r.policy) << "\", \"cost\": \""
-       << json_escape(r.cost_family) << "\", \"tenants\": " << r.tenants
-       << ", \"capacity\": " << r.capacity
+       << json_escape(r.cost_family) << "\", \"tenants\": " << r.tenants;
+    if (r.shards > 0)
+      os << ", \"shards\": " << r.shards << ", \"threads\": " << r.threads;
+    os << ", \"capacity\": " << r.capacity
        << ", \"audit\": " << (r.audited ? "true" : "false");
     if (r.skipped) {
       os << ", \"skipped\": true, \"reason\": \"" << json_escape(r.skip_reason)
@@ -227,7 +209,13 @@ void write_json(const std::string& path, const Cli& cli,
          << ", \"heap_pops\": " << r.perf.heap_pops
          << ", \"stale_skips\": " << r.perf.stale_skips
          << ", \"index_rebuilds\": " << r.perf.index_rebuilds
-         << ", \"lockfree_hits\": " << r.perf.lockfree_hits << "}";
+         << ", \"lockfree_hits\": " << r.perf.lockfree_hits;
+      if (r.shards > 0)
+        os << ", \"miss_cost\": " << r.miss_cost
+           << ", \"shard_seconds\": " << r.shard_seconds
+           << ", \"speedup_vs_1shard\": " << r.speedup
+           << ", \"cost_ratio_vs_unsharded\": " << r.cost_ratio;
+      os << "}";
     }
     os << (i + 1 < rows.size() ? ",\n" : "\n");
   }
@@ -299,54 +287,37 @@ void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
   }
 }
 
-/// Measures one sharded-frontend cell: `repeats` fresh 1-shard
-/// ShardedCaches driven through access_batch() in fixed-size windows
-/// (`batch` requests each; 1 = per-request access()), keeping the
-/// min-wall-clock repeat. Batch submission is the frontend's intended
-/// steady-state interface: it amortises the shard lock and the clock reads
-/// over each locked group, engages the probe-ahead prefetch, and under
-/// kSeqlock lets the optimistic prefix of every group bypass the lock.
-/// Timing is external around the submission loop — under kSeqlock the fast
-/// path does no per-request bookkeeping, so the frontend's internal
-/// wall_seconds covers only the locked residue and would flatter the
-/// optimistic path.
-void measure_sharded(BenchRow& row, const Trace& trace, std::size_t capacity,
-                     const std::vector<CostFunctionPtr>& costs,
-                     HitPath hit_path, std::uint32_t tenants,
-                     std::uint64_t repeats, std::uint64_t seed,
-                     std::size_t batch, StepObserver* observer) {
-  using Clock = std::chrono::steady_clock;
-  bool first = true;
+/// Measures one sharded-frontend cell: `repeats` fresh ShardedCaches built
+/// from `options`, each replayed by a `threads`-worker ParallelReplayer
+/// that feeds every shard's stream to access_batch() in `batch`-request
+/// submissions (1 = one request per call), keeping the min-wall-clock
+/// repeat. Batch submission is the frontend's intended steady-state
+/// interface: it amortises the shard lock and the clock reads over each
+/// locked group, engages the probe-ahead prefetch, and under kSeqlock lets
+/// the optimistic prefix of every group bypass the lock. The wall-clock is
+/// the replayer's, taken around its parallel section — under kSeqlock the
+/// frontend's own per-shard time covers only the locked residue (reported
+/// as shard_seconds) and would flatter the optimistic path. Returns the
+/// last repeat's cache for the observability snapshot.
+std::unique_ptr<ShardedCache> measure_sharded(
+    BenchRow& row, const Trace& trace,
+    const std::vector<CostFunctionPtr>& costs,
+    const ShardedCacheOptions& options, std::size_t threads,
+    std::size_t batch, std::uint64_t repeats) {
+  ParallelReplayer replayer({threads, batch});
+  std::unique_ptr<ShardedCache> cache;
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    ShardedCacheOptions options;
-    options.capacity = capacity;
-    options.num_shards = 1;
-    options.num_tenants = tenants;
-    options.seed = seed;
-    options.hit_path = hit_path;
-    options.step_observer = observer;
-    ShardedCache cache(options, nullptr, &costs);
-    const std::span<const Request> requests(trace.requests());
-    const auto start = Clock::now();
-    if (batch <= 1) {
-      for (const Request& request : requests) (void)cache.access(request);
-    } else {
-      for (std::size_t i = 0; i < requests.size(); i += batch)
-        cache.access_batch(
-            requests.subspan(i, std::min(batch, requests.size() - i)));
-    }
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    PerfCounters perf = cache.aggregated_perf();
-    perf.wall_seconds = wall;
-    if (first || perf.wall_seconds < row.perf.wall_seconds) {
-      const Metrics metrics = cache.aggregated_metrics();
-      row.perf = perf;
-      row.hits = metrics.total_hits();
-      row.misses = metrics.total_misses();
-      first = false;
+    cache = std::make_unique<ShardedCache>(options, nullptr, &costs);
+    const ParallelReplayResult result = replayer.replay(trace, *cache);
+    if (r == 0 || result.perf.wall_seconds < row.perf.wall_seconds) {
+      row.perf = result.perf;
+      row.hits = result.metrics.total_hits();
+      row.misses = result.metrics.total_misses();
+      row.miss_cost = result.miss_cost;
+      row.shard_seconds = result.shard_seconds;
     }
   }
+  return cache;
 }
 
 /// The --alloc-stats probe: replays the first half of the trace through
@@ -388,32 +359,42 @@ BenchRow run_alloc_probe(const Trace& trace, std::size_t capacity,
   return row;
 }
 
-/// The sharded cells' zero-drift gate: every (cost, tenants) pair measured
-/// on both hit paths must have produced identical books. A divergence means
-/// the optimistic path served a stale hit — a correctness bug, so the
-/// benchmark aborts rather than publish numbers from a broken run.
+/// The sharded cells' zero-drift gate: every (cost, tenants, shards,
+/// threads) point measured on both hit paths must have produced identical
+/// books. A divergence means the optimistic path served a stale hit — a
+/// correctness bug, so the benchmark aborts rather than publish numbers
+/// from a broken run.
 void check_hit_path_equivalence(const std::vector<BenchRow>& rows) {
   for (const BenchRow& locked : rows) {
     if (locked.policy != "sharded-locked" || locked.skipped) continue;
     for (const BenchRow& seqlock : rows) {
       if (seqlock.policy != "sharded-seqlock" || seqlock.skipped) continue;
       if (seqlock.cost_family != locked.cost_family ||
-          seqlock.tenants != locked.tenants)
+          seqlock.tenants != locked.tenants ||
+          seqlock.shards != locked.shards ||
+          seqlock.threads != locked.threads)
         continue;
+      const std::string point =
+          "cost=" + locked.cost_family +
+          " n=" + std::to_string(locked.tenants) +
+          " shards=" + std::to_string(locked.shards) +
+          " threads=" + std::to_string(locked.threads);
       if (locked.hits != seqlock.hits || locked.misses != seqlock.misses ||
-          locked.perf.evictions != seqlock.perf.evictions)
+          locked.perf.evictions != seqlock.perf.evictions ||
+          locked.miss_cost != seqlock.miss_cost)
         throw std::runtime_error(
-            "hit-path divergence at cost=" + locked.cost_family +
-            " tenants=" + std::to_string(locked.tenants) +
-            ": locked " + std::to_string(locked.hits) + "/" +
+            "hit-path divergence at " + point + ": locked " +
+            std::to_string(locked.hits) + "/" +
             std::to_string(locked.misses) + "/" +
-            std::to_string(locked.perf.evictions) + " vs seqlock " +
+            std::to_string(locked.perf.evictions) + "/" +
+            std::to_string(locked.miss_cost) + " vs seqlock " +
             std::to_string(seqlock.hits) + "/" +
             std::to_string(seqlock.misses) + "/" +
-            std::to_string(seqlock.perf.evictions) +
-            " (hits/misses/evictions)");
-      std::cout << "hit-path equivalence OK: cost=" << locked.cost_family
-                << " n=" << locked.tenants << " (cost ratio 1.00)\n";
+            std::to_string(seqlock.perf.evictions) + "/" +
+            std::to_string(seqlock.miss_cost) +
+            " (hits/misses/evictions/miss cost)");
+      std::cout << "hit-path equivalence OK: " << point
+                << " (cost ratio 1.00)\n";
     }
   }
 }
@@ -426,8 +407,8 @@ int run(int argc, const char* const* argv) {
            "comma-separated tenant counts to sweep")
       .flag("policies", "convex,lru",
             "comma-separated policy names (see policy_factory); "
-            "sharded-locked / sharded-seqlock route through a 1-shard "
-            "ShardedCache on the corresponding hit path")
+            "sharded-locked / sharded-seqlock route through a ShardedCache "
+            "on the corresponding hit path")
       .flag("costs", "mono2", "cost families: mono2,mono3,linear,sla")
       .flag("requests", "1000000", "requests per measured run")
       .flag("pages-per-tenant", "16", "page universe per tenant")
@@ -448,7 +429,10 @@ int run(int argc, const char* const* argv) {
             "bench JSON (see --obs-cadence)")
       .flag("sharded-batch", "256",
             "sharded cells: requests per access_batch() submission "
-            "(1 = drive access() per request)")
+            "(1 = one request per call)")
+      .flag("shards", "1", "sharded cells: comma-separated shard counts")
+      .flag("threads", "1",
+            "sharded cells: comma-separated replay worker thread counts")
       .flag("obs-cadence", "8",
             "observed rows: time every Nth step (1 = every step; higher "
             "values shrink the observation overhead)")
@@ -468,6 +452,12 @@ int run(int argc, const char* const* argv) {
 
   const auto tenant_counts = cli.get_u64_list("tenants");
   const auto policies = split(cli.get("policies"), ',');
+  const auto shard_counts = cli.get_u64_list("shards");
+  const auto thread_counts = cli.get_u64_list("threads");
+  const auto sharded_batch = static_cast<std::size_t>(
+      std::max<std::uint64_t>(1, cli.get_u64("sharded-batch")));
+  const bool any_sharded =
+      std::any_of(policies.begin(), policies.end(), is_sharded_policy);
   const auto families = split(cli.get("costs"), ',');
   const auto requests = static_cast<std::size_t>(cli.get_u64("requests"));
   const std::uint64_t pages_per_tenant = cli.get_u64("pages-per-tenant");
@@ -491,17 +481,58 @@ int run(int argc, const char* const* argv) {
   Table table({"policy", "cost", "tenants", "capacity", "ns/req", "Mreq/s",
                "hit%", "stale/evict"});
 
+  const auto make_observer = [&]() -> std::unique_ptr<obs::SimObserver> {
+    if (!observe) return nullptr;
+    obs::SimObserverOptions observer_options;
+    observer_options.latency_sample_period = obs_cadence;
+    observer_options.trace = trace_writer.get();
+    return std::make_unique<obs::SimObserver>(observer_options);
+  };
+  const auto report = [&table](const BenchRow& cell,
+                               const std::string& label) {
+    const std::uint64_t accesses = cell.hits + cell.misses;
+    const double hit_pct =
+        accesses == 0 ? 0.0
+                      : 100.0 * static_cast<double>(cell.hits) /
+                            static_cast<double>(accesses);
+    table.add(label, cell.cost_family, cell.tenants, cell.capacity,
+              cell.perf.ns_per_request(),
+              cell.perf.wall_seconds > 0.0
+                  ? static_cast<double>(cell.perf.requests) /
+                        (cell.perf.wall_seconds * 1e6)
+                  : 0.0,
+              hit_pct, cell.perf.stale_skips_per_eviction());
+    std::cout << label << " n=" << cell.tenants
+              << " cost=" << cell.cost_family << ": "
+              << cell.perf.ns_per_request() << " ns/req";
+    if (cell.shards > 0)
+      std::cout << ", speedup " << format_double(cell.speedup, 2)
+                << ", cost ratio " << format_double(cell.cost_ratio, 3);
+    std::cout << "\n";
+  };
+
   for (const std::uint64_t n64 : tenant_counts) {
     const auto tenants = static_cast<std::uint32_t>(n64);
     const std::size_t capacity =
         static_cast<std::size_t>(k_per_tenant) * tenants;
-    const Trace trace = make_trace(tenants, pages_per_tenant, skew, requests,
-                                   cli.get_u64("seed"));
+    const Trace trace = zipf_tenant_trace(tenants, pages_per_tenant, skew,
+                                          requests, cli.get_u64("seed"));
     for (const std::string& family : families) {
-      const auto costs = make_costs(family, tenants);
+      const auto costs = make_cost_family(family, tenants);
       if (cli.get_bool("alloc-stats"))
         rows.push_back(
             run_alloc_probe(trace, capacity, costs, family, tenants));
+      // Unsharded reference: one ALG-DISCRETE over the whole cache — the
+      // cost yardstick every sharded cell is divided by.
+      double unsharded_cost = 0.0;
+      if (any_sharded) {
+        ConvexCachingPolicy unsharded;
+        const SimResult reference =
+            run_trace(trace, capacity, unsharded, &costs);
+        unsharded_cost = total_cost(reference.metrics.miss_vector(), costs);
+        std::cout << family << " n=" << tenants << " unsharded: cost "
+                  << format_compact(unsharded_cost) << "\n";
+      }
       for (const std::string& policy_name : policies) {
         BenchRow row;
         row.policy = policy_name;
@@ -512,41 +543,89 @@ int run(int argc, const char* const* argv) {
         if (policy_name == "convex-naive" && n64 > max_naive) {
           row.skipped = true;
           row.skip_reason = "tenants > max-naive-tenants";
-        }
-        if (row.skipped) {
           std::cout << policy_name << " n=" << tenants << " cost=" << family
                     << ": skipped (" << row.skip_reason << ")\n";
           rows.push_back(std::move(row));
           continue;
         }
 
-        // Unaudited cell, plus — with --audit and an audit-capable policy —
-        // an audited twin, so the JSON carries overhead pairs. (The sharded
-        // pseudo-policies take neither an auditor nor audit twins: the
-        // frontend owns its sessions.)
+        if (is_sharded_policy(policy_name)) {
+          // One cell per (shards, threads) point. The speed-up base is the
+          // sweep's first cell, latched exactly once: re-latching whenever
+          // the base timed at zero would make a later cell the baseline
+          // and silently inflate every speed-up of the sweep.
+          ShardedCacheOptions options;
+          options.capacity = capacity;
+          options.num_tenants = tenants;
+          options.seed = cli.get_u64("seed");
+          options.hit_path =
+              parse_hit_path(std::string_view(policy_name)
+                                 .substr(kShardedPrefix.size()));
+          double base_wall = 0.0;
+          bool have_base = false;
+          for (const std::uint64_t shards : shard_counts) {
+            for (const std::uint64_t threads : thread_counts) {
+              BenchRow cell = row;
+              cell.shards = static_cast<std::size_t>(shards);
+              cell.threads = static_cast<std::size_t>(threads);
+              const std::unique_ptr<obs::SimObserver> observer =
+                  make_observer();
+              options.num_shards = cell.shards;
+              options.step_observer = observer.get();
+              const std::unique_ptr<ShardedCache> cache =
+                  measure_sharded(cell, trace, costs, options, cell.threads,
+                                  sharded_batch, repeats);
+              if (!have_base) {
+                base_wall = cell.perf.wall_seconds;
+                have_base = true;
+                if (base_wall <= 0.0)
+                  std::cerr << "warning: " << policy_name << " n=" << tenants
+                            << " cost=" << family
+                            << " base cell reported zero wall_seconds; "
+                               "speedups for this sweep are unreliable\n";
+              }
+              cell.speedup = cell.perf.wall_seconds > 0.0 && base_wall > 0.0
+                                 ? base_wall / cell.perf.wall_seconds
+                                 : 0.0;
+              cell.cost_ratio = unsharded_cost > 0.0
+                                    ? cell.miss_cost / unsharded_cost
+                                    : 0.0;
+              // One shard is the unsharded algorithm: anything but the
+              // identical objective is a frontend bug, not a measurement.
+              if (cell.shards == 1 && cell.miss_cost != unsharded_cost)
+                throw std::runtime_error(
+                    policy_name + " 1-shard cell n=" +
+                    std::to_string(tenants) + " cost=" + family +
+                    " diverged from the unsharded replay: miss cost " +
+                    std::to_string(cell.miss_cost) + " vs " +
+                    std::to_string(unsharded_cost));
+              if (observer != nullptr) {
+                const obs::LabelSet labels{
+                    {"policy", policy_name},
+                    {"cost", family},
+                    {"tenants", std::to_string(tenants)},
+                    {"shards", std::to_string(cell.shards)},
+                    {"threads", std::to_string(cell.threads)}};
+                observer->fill(obs_registry, labels);
+                obs::snapshot_perf(obs_registry, cell.perf, labels);
+                obs::snapshot_sharded(obs_registry, *cache, labels);
+              }
+              report(cell, policy_name + " S=" + std::to_string(cell.shards) +
+                               " T=" + std::to_string(cell.threads));
+              rows.push_back(std::move(cell));
+            }
+          }
+          continue;
+        }
+
+        // Unaudited cell, plus — with --audit on the convex policy — an
+        // audited twin, so the JSON carries overhead pairs.
         for (const bool audited : {false, true}) {
           if (audited && !(audit && policy_name == "convex")) continue;
           BenchRow cell = row;
-          std::unique_ptr<obs::SimObserver> observer;
-          if (observe) {
-            obs::SimObserverOptions observer_options;
-            observer_options.latency_sample_period = obs_cadence;
-            observer_options.trace = trace_writer.get();
-            observer = std::make_unique<obs::SimObserver>(observer_options);
-          }
-          if (is_sharded_policy(policy_name)) {
-            measure_sharded(cell, trace, capacity, costs,
-                            policy_name == "sharded-seqlock"
-                                ? HitPath::kSeqlock
-                                : HitPath::kLocked,
-                            tenants, repeats, cli.get_u64("seed"),
-                            static_cast<std::size_t>(std::max<std::uint64_t>(
-                                1, cli.get_u64("sharded-batch"))),
-                            observer.get());
-          } else {
-            measure(cell, trace, capacity, costs, policy_name, repeats,
-                    audited, audit_cadence, observer.get());
-          }
+          const std::unique_ptr<obs::SimObserver> observer = make_observer();
+          measure(cell, trace, capacity, costs, policy_name, repeats,
+                  audited, audit_cadence, observer.get());
           if (observer != nullptr && !audited) {
             const obs::LabelSet labels{{"policy", policy_name},
                                        {"cost", family},
@@ -554,22 +633,7 @@ int run(int argc, const char* const* argv) {
             observer->fill(obs_registry, labels);
             obs::snapshot_perf(obs_registry, cell.perf, labels);
           }
-          const std::uint64_t accesses = cell.hits + cell.misses;
-          const double hit_pct =
-              accesses == 0 ? 0.0
-                            : 100.0 * static_cast<double>(cell.hits) /
-                                  static_cast<double>(accesses);
-          const std::string label =
-              policy_name + (audited ? "+audit" : "");
-          table.add(label, family, tenants, capacity,
-                    cell.perf.ns_per_request(),
-                    cell.perf.wall_seconds > 0.0
-                        ? static_cast<double>(cell.perf.requests) /
-                              (cell.perf.wall_seconds * 1e6)
-                        : 0.0,
-                    hit_pct, cell.perf.stale_skips_per_eviction());
-          std::cout << label << " n=" << tenants << " cost=" << family
-                    << ": " << cell.perf.ns_per_request() << " ns/req\n";
+          report(cell, policy_name + (audited ? "+audit" : ""));
           rows.push_back(std::move(cell));
         }
       }
@@ -596,11 +660,14 @@ int run(int argc, const char* const* argv) {
               : static_cast<double>(row.perf.lockfree_hits) /
                     static_cast<double>(row.perf.requests);
       std::cout << "lockfree fraction n=" << row.tenants
-                << " cost=" << row.cost_family << ": " << frac << "\n";
+                << " cost=" << row.cost_family << " shards=" << row.shards
+                << " threads=" << row.threads << ": " << frac << "\n";
       if (frac < expect_lockfree)
         throw std::runtime_error(
             "sharded-seqlock cell cost=" + row.cost_family + " n=" +
-            std::to_string(row.tenants) + " served only " +
+            std::to_string(row.tenants) + " shards=" +
+            std::to_string(row.shards) + " threads=" +
+            std::to_string(row.threads) + " served only " +
             std::to_string(frac) + " of requests lock-free (< " +
             std::to_string(expect_lockfree) + ")");
     }

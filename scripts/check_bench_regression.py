@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
 """CI throughput regression gate for the e6 benchmark JSON.
 
-Compares the requests_per_second of each (policy, cost, tenants) cell in
-one or more fresh BENCH_*.json files against the committed baseline and
-fails when any cell drops by more than the tolerance (default 25%, see
-bench/baselines/README.md for why the bar is that wide on shared runners).
-The gate is one-sided — improvements never fail — but a cell running at
-more than 2x its committed number is flagged as a stale baseline (console
-warning + a dedicated step-summary section, still exit 0): an undersized
-baseline silently widens the band a later regression can hide in.
+Compares the requests_per_second of each (policy, cost, tenants, shards,
+threads) cell in one or more fresh BENCH_*.json files against the committed
+baseline and fails when any cell drops by more than the tolerance (default
+25%, see bench/baselines/README.md for why the bar is that wide on shared
+runners). Rows without shards/threads (the unsharded cells) count as one
+shard and one thread. The gate is one-sided — improvements never fail — but
+a cell running at more than 2x its committed number is flagged as a stale
+baseline (console warning + a dedicated step-summary section, still exit 0):
+an undersized baseline silently widens the band a later regression can hide
+in.
 
 `--current` may be repeated: the bench-smoke job measures the
 eviction-pressure cells and the hit-path serving cells in separate
 e6_throughput invocations (they use different workload shapes), and the
 gate compares their union against the single committed baseline. A cell
-key that appears in more than one current file is a hard input error —
-the union would silently prefer one measurement over the other.
+key that appears twice — in more than one current file, or twice inside
+one file — is a hard input error: the union would silently prefer one
+measurement over the other.
 
 Also sanity-checks the perf plumbing the ratios are built on: a cell whose
 wall_seconds is missing or non-positive fails the gate outright (a zero
@@ -60,11 +63,24 @@ import sys
 STALE_BASELINE_RATIO = 2.0
 
 
+class DuplicateCell(ValueError):
+    """A cell key measured twice — the comparison would be ambiguous."""
+
+
 def row_key(row):
-    return (row["policy"], row["cost"], row["tenants"])
+    return (row["policy"], row["cost"], row["tenants"],
+            row.get("shards", 1), row.get("threads", 1))
 
 
-def comparable_rows(doc):
+def cell_label(key):
+    policy, cost, tenants, shards, threads = key
+    label = f"{policy}/{cost}/n={tenants}"
+    if (shards, threads) != (1, 1):
+        label += f"/s={shards}/t={threads}"
+    return label
+
+
+def comparable_rows(doc, path):
     """Measured, unaudited cells only — audit twins and skips aren't perf."""
     rows = {}
     for row in doc.get("results", []):
@@ -72,7 +88,11 @@ def comparable_rows(doc):
             continue
         if "requests_per_second" not in row:
             continue
-        rows[row_key(row)] = row
+        key = row_key(row)
+        if key in rows:
+            raise DuplicateCell(f"cell {cell_label(key)} appears more than "
+                                f"once in {path}")
+        rows[key] = row
     return rows
 
 
@@ -110,7 +130,7 @@ def latency_summary(baseline, current):
         "| --- | ---: | ---: | ---: | ---: |",
     ]
     for key in keys:
-        label = f"{key[0]}/{key[1]}/n={key[2]}"
+        label = cell_label(key)
         row = current[key]
         base = baseline.get(key, {})
         base_p99 = base.get("p99_us")
@@ -166,21 +186,22 @@ def main():
 
     try:
         with open(args.baseline) as f:
-            baseline = comparable_rows(json.load(f))
+            baseline = comparable_rows(json.load(f), args.baseline)
         current = {}
         for path in args.current:
             with open(path) as f:
-                rows = comparable_rows(json.load(f))
+                rows = comparable_rows(json.load(f), path)
             overlap = sorted(set(rows) & set(current))
             if overlap:
-                print(f"check_bench_regression: cell "
-                      f"{overlap[0][0]}/{overlap[0][1]}/n={overlap[0][2]} "
-                      f"appears in more than one --current file ({path}) — "
-                      f"ambiguous union", file=sys.stderr)
-                return 2
+                raise DuplicateCell(
+                    f"cell {cell_label(overlap[0])} appears in more than "
+                    f"one --current file ({path}) — ambiguous union")
             current.update(rows)
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_bench_regression: cannot read input: {e}", file=sys.stderr)
+        return 2
+    except DuplicateCell as e:
+        print(f"check_bench_regression: {e}", file=sys.stderr)
         return 2
 
     if not baseline:
@@ -199,7 +220,7 @@ def main():
     ]
     print(f"{'cell':<44} {'baseline':>12} {'current':>12} {'ratio':>7}")
     for key, base_row in sorted(baseline.items()):
-        label = f"{key[0]}/{key[1]}/n={key[2]}"
+        label = cell_label(key)
         base_rps = base_row["requests_per_second"]
         cur_row = current.pop(key, None)
         if cur_row is None:
@@ -247,7 +268,7 @@ def main():
     # Cells measured but absent from the baseline are not gated; surface
     # them so a forgotten baseline refresh is visible, not silent.
     for key in sorted(current):
-        label = f"{key[0]}/{key[1]}/n={key[2]}"
+        label = cell_label(key)
         cur_rps = current[key]["requests_per_second"]
         print(f"{label:<44} {'(no baseline)':>12} {cur_rps:>12.0f} {'-':>7}")
         summary.append(

@@ -82,4 +82,24 @@ CostFunctionPtr parse_cost_spec(std::string_view spec) {
   fail(spec, "unknown kind '" + kind + "'");
 }
 
+std::vector<CostFunctionPtr> make_cost_family(std::string_view family,
+                                              std::uint32_t tenants) {
+  const auto make = [family](double w) -> CostFunctionPtr {
+    if (family == "mono2") return std::make_unique<MonomialCost>(2.0, w);
+    if (family == "mono3") return std::make_unique<MonomialCost>(3.0, w);
+    if (family == "linear") return std::make_unique<MonomialCost>(1.0, w);
+    if (family == "sla")
+      return std::make_unique<PiecewiseLinearCost>(
+          PiecewiseLinearCost::sla(8.0 * w, w));
+    throw std::invalid_argument("unknown cost family '" +
+                                std::string(family) +
+                                "'; valid: mono2 mono3 linear sla");
+  };
+  std::vector<CostFunctionPtr> costs;
+  costs.reserve(tenants);
+  for (std::uint32_t t = 0; t < tenants; ++t)
+    costs.push_back(make(1.0 + static_cast<double>(t % 4)));
+  return costs;
+}
+
 }  // namespace ccc

@@ -14,41 +14,15 @@
 
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
+#include "cost/spec.hpp"
 #include "server/server.hpp"
 #include "util/cli.hpp"
 
 namespace ccc {
 namespace {
-
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  if (family == "none") return costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla none");
-    }
-  }
-  return costs;
-}
 
 int run(int argc, const char* const* argv) {
   Cli cli(
@@ -65,7 +39,7 @@ int run(int argc, const char* const* argv) {
       .flag("capacity", "0", "total capacity in pages (overrides k-per-tenant)")
       .flag("hitpath", "seqlock", "hit path: seqlock (default) or locked")
       .flag("costs", "mono2",
-            "per-tenant convex cost family: mono2,mono3,linear,sla,none")
+            "per-tenant convex cost family: mono2,mono3,linear,sla")
       .flag("seed", "1234", "policy seed (shard s uses seed + s)")
       .flag("max-connections", "1024",
             "cache-protocol connection limit; extras are closed on accept")
@@ -79,9 +53,6 @@ int run(int argc, const char* const* argv) {
 
   const auto tenants = static_cast<std::uint32_t>(cli.get_u64("tenants"));
   const std::string hitpath = cli.get("hitpath");
-  if (hitpath != "seqlock" && hitpath != "locked")
-    throw std::invalid_argument("unknown hit path '" + hitpath +
-                                "'; valid: seqlock locked");
 
   ShardedCacheOptions cache_options;
   cache_options.capacity =
@@ -91,8 +62,7 @@ int run(int argc, const char* const* argv) {
   cache_options.num_shards = static_cast<std::size_t>(cli.get_u64("shards"));
   cache_options.num_tenants = tenants;
   cache_options.seed = cli.get_u64("seed");
-  cache_options.hit_path =
-      hitpath == "seqlock" ? HitPath::kSeqlock : HitPath::kLocked;
+  cache_options.hit_path = parse_hit_path(hitpath);
 
   server::ServerOptions options;
   options.bind_address = cli.get("bind");
@@ -108,10 +78,9 @@ int run(int argc, const char* const* argv) {
   options.drain_deadline_seconds = cli.get_double("drain-deadline");
 
   const std::vector<CostFunctionPtr> costs =
-      make_costs(cli.get("costs"), tenants);
+      make_cost_family(cli.get("costs"), tenants);
 
-  server::CacheServer server(options, cache_options, nullptr,
-                             costs.empty() ? nullptr : &costs);
+  server::CacheServer server(options, cache_options, nullptr, &costs);
   // Per-batch server spans when CCC_OBS_TRACE names an output file; the
   // /debug/trace endpoint toggles the writer at runtime without a restart.
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/convex_caching.hpp"
 #include "trace/types.hpp"
@@ -147,6 +149,13 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
   }
 }
 
+HitPath parse_hit_path(std::string_view name) {
+  if (name == "locked") return HitPath::kLocked;
+  if (name == "seqlock") return HitPath::kSeqlock;
+  throw std::invalid_argument("unknown hit path '" + std::string(name) +
+                              "'; valid: locked seqlock");
+}
+
 std::size_t shard_of_page(PageId page, std::size_t num_shards) noexcept {
   // Multiply-shift range reduction over the mixed id: the shard is decided
   // by the *high* bits of splitmix64(page), leaving the low bits — which
@@ -210,40 +219,25 @@ bool ShardedCache::apply_event_seqlock(Shard& shard, const StepEvent& event) {
     shard.table.publish_insert(event.request.page, event.request.tenant);
     return false;
   }
-  // Simulator evictions always carry the victim's owner; fall back to the
-  // PageId-packed tenant only for synthetic events in tests.
-  const TenantId owner =
-      event.victim_owner.value_or(page_owner(*event.victim));
+  // Only simulator events reach here, and their evictions always carry
+  // the victim's owner.
   shard.table.evict_and_insert(*event.victim, event.request.page,
-                               event.request.tenant, owner,
+                               event.request.tenant, *event.victim_owner,
                                shard.convex->last_evict_moved_offset(),
                                shard.convex->last_evict_refreshed_tenant());
   return false;
 }
 
 StepEvent ShardedCache::access(const Request& request) {
-  Shard& shard = *shards_[shard_of(request.page)];
-  if (options_.hit_path == HitPath::kSeqlock) {
-    StepEvent event;
-    if (try_seqlock_hit(shard, request, event)) return event;
-    const util::MutexLock lock(shard.mutex);
-    const auto start = SteadyClock::now();
-    event = shard.session->step(request);
-    apply_event_seqlock(shard, event);
-    shard.wall_seconds += seconds_since(start);
-    return event;
-  }
-  const util::MutexLock lock(shard.mutex);
-  const auto start = SteadyClock::now();
-  StepEvent event = shard.session->step(request);
-  shard.wall_seconds += seconds_since(start);
+  StepEvent event;
+  process_group(*shards_[shard_of(request.page)],
+                std::span<const Request>(&request, 1), nullptr, &event);
   return event;
 }
 
 void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
                                  const std::vector<std::size_t>* group,
-                                 std::vector<StepEvent>* events,
-                                 std::size_t base) {
+                                 StepEvent* events) {
   const std::size_t n = group != nullptr ? group->size() : batch.size();
   const auto idx = [group](std::size_t j) {
     return group != nullptr ? (*group)[j] : j;
@@ -262,7 +256,7 @@ void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
     while (j < n) {
       for (; j < n; ++j) {
         if (!try_seqlock_hit(shard, batch[idx(j)], event)) break;
-        if (events != nullptr) (*events)[base + idx(j)] = event;
+        if (events != nullptr) events[idx(j)] = event;
       }
       if (j == n) return;
       const util::MutexLock lock(shard.mutex);
@@ -276,7 +270,7 @@ void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
         fresh_streak = apply_event_seqlock(shard, locked_event)
                            ? fresh_streak + 1
                            : 0;
-        if (events != nullptr) (*events)[base + idx(j)] = locked_event;
+        if (events != nullptr) events[idx(j)] = locked_event;
       }
       shard.wall_seconds += seconds_since(start);
     }
@@ -291,25 +285,13 @@ void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
     if (j + kPrefetchDistance < n)
       cache.prefetch(batch[idx(j + kPrefetchDistance)].page);
     StepEvent event = shard.session->step(batch[idx(j)]);
-    if (events != nullptr) (*events)[base + idx(j)] = event;
+    if (events != nullptr) events[idx(j)] = event;
   }
   shard.wall_seconds += seconds_since(start);
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch) {
-  if (shards_.size() == 1) {
-    process_group(*shards_[0], batch, nullptr, nullptr, 0);
-    return;
-  }
-  // Group by shard without reordering within a group: bucket the request
-  // indices, then drain bucket by bucket under one lock each.
-  std::vector<std::vector<std::size_t>> groups(shards_.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    groups[shard_of(batch[i].page)].push_back(i);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (groups[s].empty()) continue;
-    process_group(*shards_[s], batch, &groups[s], nullptr, 0);
-  }
+  dispatch_batch(batch, nullptr);
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch,
@@ -319,16 +301,23 @@ void ShardedCache::access_batch(std::span<const Request> batch,
   // across shards.
   const std::size_t base = events.size();
   events.resize(base + batch.size());
+  dispatch_batch(batch, events.data() + base);
+}
+
+void ShardedCache::dispatch_batch(std::span<const Request> batch,
+                                  StepEvent* events) {
   if (shards_.size() == 1) {
-    process_group(*shards_[0], batch, nullptr, &events, base);
+    process_group(*shards_[0], batch, nullptr, events);
     return;
   }
+  // Group by shard without reordering within a group: bucket the request
+  // indices, then drain bucket by bucket under one lock each.
   std::vector<std::vector<std::size_t>> groups(shards_.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
     groups[shard_of(batch[i].page)].push_back(i);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (groups[s].empty()) continue;
-    process_group(*shards_[s], batch, &groups[s], &events, base);
+    process_group(*shards_[s], batch, &groups[s], events);
   }
 }
 

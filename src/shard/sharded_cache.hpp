@@ -46,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "shard/seqlock_table.hpp"
@@ -84,6 +85,11 @@ enum class HitPath {
   kLocked,   ///< every request takes the shard mutex (the safe default)
   kSeqlock,  ///< fresh hits go lock-free; misses/evictions take the mutex
 };
+
+/// Parses a hit-path name as the command lines spell it: "locked" or
+/// "seqlock". Throws std::invalid_argument listing the valid names
+/// otherwise.
+[[nodiscard]] HitPath parse_hit_path(std::string_view name);
 
 struct ShardedCacheOptions {
   std::size_t capacity = 0;    ///< total pages summed across shards
@@ -282,16 +288,21 @@ class ShardedCache {
   /// that as its resume signal.
   bool apply_event_seqlock(Shard& shard, const StepEvent& event)
       CCC_REQUIRES(shard.mutex);
-  /// Processes one shard's slice of a batch in submission order. Under
-  /// kSeqlock the slice is served as alternating runs: a lock-free run of
-  /// fresh hits, then — at the first request needing the mutex — a locked
-  /// run that ends once a streak of already-fresh hits shows the
+  /// Processes one shard's slice of a batch in submission order — the one
+  /// request path every entry point (access, access_batch) goes through.
+  /// Under kSeqlock the slice is served as alternating runs: a lock-free
+  /// run of fresh hits, then — at the first request needing the mutex — a
+  /// locked run that ends once a streak of already-fresh hits shows the
   /// optimistic path is viable again. Locked runs use probe-ahead
   /// prefetching. `group == nullptr` means the slice is the whole batch
-  /// (single-shard fast path).
+  /// (single-shard fast path). `events`, when non-null, receives the
+  /// outcome of `batch[i]` at `events[i]`.
   void process_group(Shard& shard, std::span<const Request> batch,
                      const std::vector<std::size_t>* group,
-                     std::vector<StepEvent>* events, std::size_t base);
+                     StepEvent* events);
+  /// Both access_batch overloads: groups `batch` by shard (single-shard
+  /// caches skip the grouping) and hands each group to process_group.
+  void dispatch_batch(std::span<const Request> batch, StepEvent* events);
 
   ShardedCacheOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;

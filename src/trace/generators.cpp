@@ -179,4 +179,16 @@ Trace random_uniform_trace(std::uint32_t num_tenants,
   return generate_trace(std::move(tenants), length, rng);
 }
 
+Trace zipf_tenant_trace(std::uint32_t num_tenants,
+                        std::uint64_t pages_per_tenant, double skew,
+                        std::size_t length, std::uint64_t seed) {
+  std::vector<TenantWorkload> tenants;
+  tenants.reserve(num_tenants);
+  for (std::uint32_t i = 0; i < num_tenants; ++i)
+    tenants.push_back(
+        {std::make_unique<ZipfPages>(pages_per_tenant, skew), 1.0});
+  Rng rng(seed);
+  return generate_trace(std::move(tenants), length, rng);
+}
+
 }  // namespace ccc

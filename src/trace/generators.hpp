@@ -155,4 +155,13 @@ struct TenantWorkload {
                                          std::uint64_t pages_per_tenant,
                                          std::size_t length, Rng& rng);
 
+/// The multi-tenant workload of the throughput and server benchmarks:
+/// `num_tenants` tenants at equal rates, each drawing from its own
+/// `pages_per_tenant`-page universe with Zipf(`skew`) popularity. The
+/// same `seed` always yields the same trace.
+[[nodiscard]] Trace zipf_tenant_trace(std::uint32_t num_tenants,
+                                      std::uint64_t pages_per_tenant,
+                                      double skew, std::size_t length,
+                                      std::uint64_t seed);
+
 }  // namespace ccc

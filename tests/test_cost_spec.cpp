@@ -1,9 +1,12 @@
-// Unit tests for the cost-spec string factory (cost/spec.hpp).
+// Unit tests for the cost-spec string factory and the named per-tenant
+// cost families (cost/spec.hpp).
 #include "cost/spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ccc {
 namespace {
@@ -67,6 +70,56 @@ TEST(CostSpec, RejectsMalformed) {
   EXPECT_THROW((void)parse_cost_spec("sla:100"), std::invalid_argument);
   EXPECT_THROW((void)parse_cost_spec("pwl:10"), std::invalid_argument);
   EXPECT_THROW((void)parse_cost_spec("mono:abc"), std::invalid_argument);
+}
+
+// Tenant i's weight is w_i = 1 + (i mod 4); five tenants cover the wrap.
+constexpr double kWeights[] = {1.0, 2.0, 3.0, 4.0, 1.0};
+
+TEST(CostFamily, MonomialFamiliesScaleByTenantWeight) {
+  const struct {
+    const char* name;
+    double beta;
+  } families[] = {{"linear", 1.0}, {"mono2", 2.0}, {"mono3", 3.0}};
+  for (const auto& family : families) {
+    SCOPED_TRACE(family.name);
+    const auto costs = make_cost_family(family.name, 5);
+    ASSERT_EQ(costs.size(), 5u);
+    for (std::size_t t = 0; t < costs.size(); ++t) {
+      EXPECT_DOUBLE_EQ(costs[t]->value(0.0), 0.0);
+      EXPECT_DOUBLE_EQ(costs[t]->value(1.0), kWeights[t]);
+      EXPECT_DOUBLE_EQ(costs[t]->value(3.0),
+                       kWeights[t] * std::pow(3.0, family.beta));
+      EXPECT_TRUE(costs[t]->is_convex());
+    }
+  }
+}
+
+TEST(CostFamily, SlaIsFreeUpToEightWeightsThenWeightPerMiss) {
+  const auto costs = make_cost_family("sla", 5);
+  ASSERT_EQ(costs.size(), 5u);
+  for (std::size_t t = 0; t < costs.size(); ++t) {
+    const double w = kWeights[t];
+    EXPECT_DOUBLE_EQ(costs[t]->value(8.0 * w), 0.0);
+    EXPECT_DOUBLE_EQ(costs[t]->value(8.0 * w + 1.0), w);
+    EXPECT_DOUBLE_EQ(costs[t]->value(8.0 * w + 10.0), 10.0 * w);
+  }
+}
+
+TEST(CostFamily, UnknownFamilyListsValidNames) {
+  for (const char* bad : {"none", "mono", "MONO2", ""}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)make_cost_family(bad, 2);
+      FAIL() << "accepted unknown family";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("'" + std::string(bad) + "'"),
+                std::string::npos);
+      EXPECT_NE(message.find("valid: mono2 mono3 linear sla"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 }  // namespace

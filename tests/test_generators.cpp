@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 namespace ccc {
@@ -102,6 +103,41 @@ TEST(GenerateTrace, DeterministicGivenSeed) {
   const Trace t2 = random_uniform_trace(2, 5, 100, b);
   ASSERT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < t1.size(); ++i) EXPECT_EQ(t1[i], t2[i]);
+}
+
+TEST(ZipfTenantTrace, DeterministicGivenSeed) {
+  const Trace t1 = zipf_tenant_trace(8, 32, 0.9, 2000, 7);
+  const Trace t2 = zipf_tenant_trace(8, 32, 0.9, 2000, 7);
+  const Trace other = zipf_tenant_trace(8, 32, 0.9, 2000, 8);
+  ASSERT_EQ(t1.size(), 2000u);
+  ASSERT_EQ(t2.size(), t1.size());
+  ASSERT_EQ(other.size(), t1.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < t1.size(); ++i) {
+    EXPECT_EQ(t1[i], t2[i]);
+    if (!(t1[i] == other[i])) ++differing;
+  }
+  EXPECT_GT(differing, 0u);
+}
+
+TEST(ZipfTenantTrace, EveryTenantDrawsSkewedPagesFromItsOwnUniverse) {
+  const Trace trace = zipf_tenant_trace(4, 16, 1.1, 20000, 3);
+  EXPECT_EQ(trace.num_tenants(), 4u);
+  std::map<std::uint32_t, std::size_t> per_tenant;
+  std::map<PageId, std::size_t> per_page;
+  for (const Request& r : trace) {
+    EXPECT_EQ(page_owner(r.page), r.tenant);
+    ++per_tenant[r.tenant];
+    ++per_page[r.page];
+  }
+  EXPECT_EQ(per_tenant.size(), 4u);
+  for (const auto& [tenant, count] : per_tenant)
+    EXPECT_GT(count, 4000u);  // equal rates: ~5000 each
+  EXPECT_LE(per_page.size(), 64u);
+  // Zipf(1.1): a tenant's hottest page outdraws a uniform share (1/16).
+  std::size_t hottest = 0;
+  for (const auto& [page, count] : per_page) hottest = std::max(hottest, count);
+  EXPECT_GT(hottest, 20000u / 64u * 3u);
 }
 
 TEST(MarkovPages, FollowsRunsWhenProbabilityIsHigh) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,13 +26,7 @@ namespace {
 
 Trace zipf_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
                  std::size_t length, std::uint64_t seed) {
-  std::vector<TenantWorkload> workloads;
-  workloads.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t)
-    workloads.push_back(
-        {std::make_unique<ZipfPages>(pages_per_tenant, 0.9), 1.0});
-  Rng rng(seed);
-  return generate_trace(std::move(workloads), length, rng);
+  return zipf_tenant_trace(tenants, pages_per_tenant, 0.9, length, seed);
 }
 
 std::vector<CostFunctionPtr> quadratic_costs(std::uint32_t tenants) {
@@ -84,6 +80,22 @@ TEST(CapacitySplitter, MissRateSplitUniformWhenIdle) {
 }
 
 // ------------------------------------------------------------ construction
+
+TEST(ShardedCache, ParsesHitPathNames) {
+  EXPECT_EQ(parse_hit_path("locked"), HitPath::kLocked);
+  EXPECT_EQ(parse_hit_path("seqlock"), HitPath::kSeqlock);
+  for (const char* bad : {"Locked", "lock-free", ""}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)parse_hit_path(bad);
+      FAIL() << "accepted unknown hit path";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("valid: locked seqlock"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 TEST(ShardedCache, ValidatesOptions) {
   const auto costs = quadratic_costs(4);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -149,6 +150,10 @@ struct CleanCase {
   DerivativeMode derivative;
   std::size_t window;
 };
+
+// Without this gtest names each case by a byte dump of the struct, whose
+// pointer fields change with ASLR, so the test names would differ per run.
+void PrintTo(const CleanCase& c, std::ostream* os) { *os << c.name; }
 
 class AuditCleanRunTest : public ::testing::TestWithParam<CleanCase> {};
 

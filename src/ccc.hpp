@@ -51,7 +51,6 @@
 
 // Baselines.
 #include "policies/arc.hpp"
-#include "policies/belady.hpp"
 #include "policies/clock.hpp"
 #include "policies/fifo.hpp"
 #include "policies/landlord.hpp"

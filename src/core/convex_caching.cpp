@@ -41,9 +41,6 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   index_arena_.reset();
   pages_.clear();
   pages_.reserve(ctx.capacity);
-  tenant_pages_.clear();
-  registry_arena_.reset();
-  track_tenant_pages_ = false;
   marginal_scratch_.assign(ctx.num_tenants, 0.0);
   last_evict_moved_offset_ = false;
   last_evict_refreshed_tenant_ = false;
@@ -123,7 +120,6 @@ void ConvexCachingPolicy::set_budget(PageId page, TenantId tenant) {
   const double key = next_marginal(tenant) - tenant_bump_[tenant] + offset_;
   pages_[page] = PageState{key, tenant};
   push_global(page, tenant, key);
-  if (track_tenant_pages_) tenant_pages_[tenant].insert_or_assign(page, 1);
   maybe_compact();
 }
 
@@ -139,8 +135,8 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
   ++counters_.evictions;
   // Lazy-invalidation invariant: every resident page has at least one
   // posting whose score is ≤ its current (key + bump) — postings go stale
-  // only by under-estimating (bumps of convex tenants only grow; shrinking
-  // bumps are repaired eagerly by repost_tenant). Popping in (score, page)
+  // only by under-estimating (bumps of convex tenants only grow; a
+  // shrinking bump rebuilds the index eagerly). Popping in (score, page)
   // order therefore surfaces the true minimum — with the paper's
   // lowest-page-id tie-break — as the first posting that validates.
   while (!global_.empty()) {
@@ -172,28 +168,6 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
   return 0;  // unreachable
 }
 
-void ConvexCachingPolicy::repost_tenant(TenantId owner) {
-  if (!track_tenant_pages_) {
-    // First non-convex bump decrease of the run: materialize the registry
-    // (arena-backed sets — never default-construct a PageSet, that would
-    // silently fall back to the heap allocator).
-    tenant_pages_.clear();
-    tenant_pages_.reserve(tenant_bump_.size());
-    for (std::size_t t = 0; t < tenant_bump_.size(); ++t)
-      tenant_pages_.emplace_back(
-          util::ArenaAllocator<std::uint8_t>(&registry_arena_));
-    for (const auto& [page, state] : pages_)
-      tenant_pages_[state.tenant].insert_or_assign(page, 1);
-    track_tenant_pages_ = true;
-  }
-  // PageSet iterators yield reference proxies; bind by value.
-  for (const auto [page, mark] : tenant_pages_[owner]) {
-    (void)mark;
-    push_global(page, owner, pages_.at(page).key);
-  }
-  maybe_compact();
-}
-
 void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
                                    TimeStep /*time*/) {
   const auto it = pages_.find(victim);
@@ -205,7 +179,6 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
   // any state. One add — hits never reach this path.
   dual_mass_[owner] += victim_budget;
   pages_.erase(it);
-  if (track_tenant_pages_) tenant_pages_[owner].erase(victim);
 
   // Fig. 3: debit every surviving page by B(p) — one offset update. A
   // zero victim budget leaves the offset bit-identical, so survivors'
@@ -234,8 +207,9 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
     tenant_bump_[owner] += delta;
     // Convex costs only grow the bump, which the global index absorbs
     // lazily; a shrinking bump (§2.5 non-convex costs) makes existing
-    // postings over-estimate, so re-post the tenant's pages eagerly.
-    if (delta < 0.0) repost_tenant(owner);
+    // postings over-estimate, so rebuild the index at the current scores
+    // (the same repair compaction and window rollover use).
+    if (delta < 0.0) rebuild_index();
   }
 }
 

@@ -34,9 +34,12 @@
 /// is replaced by `f(m+1) − f(m)`, which supports arbitrary — non-convex,
 /// even discontinuous — cost functions (no guarantee, but a working
 /// algorithm; experiment E5). Non-convex costs can *shrink* a tenant's
-/// bump; the global index then eagerly re-posts that tenant's pages (lazy
-/// invalidation is only sound for monotone growth), tracked by a page
-/// registry that is materialized on first need so convex runs pay nothing.
+/// bump; lazy invalidation is only sound for monotone growth, so the global
+/// index is then rebuilt from the resident set — the one repair path,
+/// shared with compaction and window rollover. Convex runs never take it.
+///
+/// At β = 1 (linear costs) the marginal is constant and the bump is zero:
+/// this engine is then weighted caching, and LandlordPolicy runs on it.
 
 #include <cstdint>
 #include <queue>
@@ -217,13 +220,10 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// budgets far more often than evictions drain postings).
   void maybe_compact();
 
-  /// Rebuilds every index structure from the resident set `pages_`.
+  /// Rebuilds the global heap from the resident set `pages_` at current
+  /// scores: compaction, window rollover and the non-convex repair (a
+  /// tenant's bump *decreased*, so its postings over-estimate).
   void rebuild_index();
-
-  /// Non-convex repair: tenant `owner`'s bump just *decreased*, so its
-  /// existing postings over-estimate; re-posts every resident page of that
-  /// tenant at the current score. Materializes `tenant_pages_` on first use.
-  void repost_tenant(TenantId owner);
 
   /// Windowed mode: on crossing a window boundary, resets miss counts and
   /// re-bases every resident budget (O(k), once per window).
@@ -238,28 +238,17 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     TenantId tenant;
   };
 
-  /// Arena-backed open-addressing set used as the per-tenant page registry
-  /// (insert/erase are rehash-amortized into the arena, so the non-convex
-  /// repost path also stays allocation-free at steady state).
-  using PageSet =
-      util::FlatMap<std::uint8_t, util::ArenaAllocator<std::uint8_t>>;
-
   double offset_ = 0.0;                  ///< cumulative global debit
   std::vector<double> tenant_bump_;      ///< cumulative per-tenant bumps
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
   std::vector<double> dual_mass_;        ///< Σ B(victim) per victim owner
-  // Declaration order matters: the arenas must outlive (so: precede) every
-  // container whose allocator points into them.
-  util::Arena index_arena_;     ///< backs the global heap's postings
-  util::Arena registry_arena_;  ///< backs the tenant_pages_ sets
+  // Declaration order matters: the arena must outlive (so: precede) every
+  // container whose allocator points into it.
+  util::Arena index_arena_;  ///< backs the global heap's postings
   /// One heap, all tenants (arena-backed — see IndexVector).
   GlobalHeap global_{std::greater<IndexEntry>{},
                      IndexVector(IndexAlloc(&index_arena_))};
   util::FlatMap<PageState> pages_;       ///< resident pages (flat, SoA)
-  /// Resident pages per tenant; only maintained once a bump has decreased
-  /// (possible only for non-convex costs), empty and untouched otherwise.
-  std::vector<PageSet> tenant_pages_;
-  bool track_tenant_pages_ = false;
   /// Scratch for the windowed re-base (hoisted per-tenant marginals).
   std::vector<double> marginal_scratch_;
   bool last_evict_moved_offset_ = false;

@@ -4,8 +4,8 @@
 
 #include "core/convex_caching.hpp"
 #include "core/naive_convex_caching.hpp"
+#include "offline/weighted_belady.hpp"
 #include "policies/arc.hpp"
-#include "policies/belady.hpp"
 #include "policies/clock.hpp"
 #include "policies/two_q.hpp"
 #include "policies/fifo.hpp"

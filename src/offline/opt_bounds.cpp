@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "offline/weighted_belady.hpp"
-#include "policies/belady.hpp"
-#include "sim/simulator.hpp"
 #include "util/check.hpp"
 
 namespace ccc {
@@ -52,29 +50,19 @@ OptEstimate estimate_opt(const Trace& trace, std::size_t capacity,
     }
   }
 
-  // Upper bound: best of plain Belady and iterated weighted Belady.
-  BeladyPolicy belady;
-  const SimResult belady_run = run_trace(trace, capacity, belady, &costs);
-  const double belady_cost =
-      total_cost(belady_run.metrics.miss_vector(), costs);
+  // Upper bound: iterated weighted Belady, whose first pass is plain
+  // Belady and which keeps the best schedule seen.
+  std::uint64_t belady_misses = 0;
   const OptResult reweighted =
-      iterated_weighted_belady(trace, capacity, costs);
-
-  if (belady_cost <= reweighted.cost) {
-    estimate.upper_cost = belady_cost;
-    estimate.upper_misses = belady_run.metrics.miss_vector();
-  } else {
-    estimate.upper_cost = reweighted.cost;
-    estimate.upper_misses = reweighted.misses;
-  }
+      iterated_weighted_belady(trace, capacity, costs, &belady_misses);
+  estimate.upper_cost = reweighted.cost;
+  estimate.upper_misses = reweighted.misses;
 
   // Lower bound: Belady's total miss count is the minimum achievable by any
   // schedule; the cheapest convex distribution of that many misses bounds
   // every schedule's cost from below.
   estimate.lower_cost =
-      cheapest_distribution(belady_run.metrics.total_misses(), costs,
-                            trace.num_tenants())
-          .cost;
+      cheapest_distribution(belady_misses, costs, trace.num_tenants()).cost;
   return estimate;
 }
 

@@ -4,8 +4,8 @@
 ///
 /// Competitive-ratio experiments need OPT. On small instances the exact DP
 /// delivers it; on large ones we report a bracket:
-///   * upper bound — best schedule found (Belady, iterated weighted
-///     Belady): a real algorithm's cost, so OPT ≤ upper;
+///   * upper bound — best schedule iterated weighted Belady finds (its
+///     first pass is plain Belady): a real algorithm's cost, so OPT ≤ upper;
 ///   * lower bound — Belady minimizes the *total* miss count M over all
 ///     schedules; the cheapest way any schedule could distribute ≥ M misses
 ///     across tenants is min Σ_i f_i(b_i) s.t. Σ b_i = M (convex

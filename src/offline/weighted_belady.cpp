@@ -90,8 +90,15 @@ void WeightedBeladyPolicy::on_insert(const Request& request,
   resident_tenant_.push_back(request.tenant);
 }
 
+void BeladyPolicy::reset(const PolicyContext& ctx) {
+  pass_ = WeightedBeladyPolicy(
+      std::vector<double>(std::max<std::uint32_t>(ctx.num_tenants, 1), 1.0));
+  pass_.reset(ctx);
+}
+
 OptResult iterated_weighted_belady(const Trace& trace, std::size_t capacity,
                                    const std::vector<CostFunctionPtr>& costs,
+                                   std::uint64_t* belady_total_misses,
                                    std::size_t max_iterations) {
   CCC_REQUIRE(max_iterations >= 1, "need at least one iteration");
   std::vector<double> weights(trace.num_tenants(), 1.0);
@@ -102,6 +109,8 @@ OptResult iterated_weighted_belady(const Trace& trace, std::size_t capacity,
     WeightedBeladyPolicy policy(weights);
     const SimResult result = run_trace(trace, capacity, policy, &costs);
     const double cost = total_cost(result.metrics.miss_vector(), costs);
+    if (iter == 0 && belady_total_misses != nullptr)
+      *belady_total_misses = result.metrics.total_misses();
     if (cost < best.cost) {
       best.cost = cost;
       best.misses = result.metrics.miss_vector();

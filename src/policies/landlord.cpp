@@ -1,5 +1,6 @@
 #include "policies/landlord.hpp"
 
+#include "cost/monomial.hpp"
 #include "util/check.hpp"
 
 namespace ccc {
@@ -11,57 +12,24 @@ LandlordPolicy::LandlordPolicy(std::vector<double> weights)
 }
 
 void LandlordPolicy::reset(const PolicyContext& ctx) {
-  offset_ = 0.0;
-  order_.clear();
-  key_of_.clear();
-  if (!configured_weights_.empty()) {
+  if (configured_weights_.empty())
+    CCC_REQUIRE(ctx.costs != nullptr,
+                "Landlord needs explicit weights or tenant cost functions");
+  else
     CCC_REQUIRE(configured_weights_.size() >= ctx.num_tenants,
                 "Landlord needs one weight per tenant");
-    weights_ = configured_weights_;
-    return;
-  }
-  CCC_REQUIRE(ctx.costs != nullptr,
-              "Landlord needs explicit weights or tenant cost functions");
-  weights_.clear();
-  weights_.reserve(ctx.num_tenants);
+  linear_costs_.clear();
+  linear_costs_.reserve(ctx.num_tenants);
   for (std::uint32_t i = 0; i < ctx.num_tenants; ++i) {
-    const double w = (*ctx.costs)[i]->derivative(1.0);
-    weights_.push_back(w > 0.0 ? w : 1e-12);
+    const double w = configured_weights_.empty()
+                         ? (*ctx.costs)[i]->derivative(1.0)
+                         : configured_weights_[i];
+    linear_costs_.push_back(
+        std::make_unique<MonomialCost>(1.0, w > 0.0 ? w : 1e-12));
   }
-}
-
-void LandlordPolicy::set_credit(PageId page, TenantId tenant) {
-  const auto it = key_of_.find(page);
-  if (it != key_of_.end()) order_.erase(Key{it->second, page});
-  const double key = weights_[tenant] + offset_;
-  key_of_[page] = key;
-  order_.emplace(Key{key, page}, page);
-}
-
-void LandlordPolicy::on_hit(const Request& request, TimeStep /*time*/) {
-  // Landlord refreshes credit on access.
-  set_credit(request.page, request.tenant);
-}
-
-PageId LandlordPolicy::choose_victim(const Request& /*request*/,
-                                     TimeStep /*time*/) {
-  CCC_CHECK(!order_.empty(),
-            "Landlord asked for a victim with an empty cache");
-  return order_.begin()->second;
-}
-
-void LandlordPolicy::on_evict(PageId victim, TenantId /*owner*/,
-                              TimeStep /*time*/) {
-  const auto it = key_of_.find(victim);
-  CCC_CHECK(it != key_of_.end(), "Landlord evicting an untracked page");
-  // Debit every survivor by the victim's effective credit.
-  offset_ = it->second;
-  order_.erase(Key{it->second, victim});
-  key_of_.erase(it);
-}
-
-void LandlordPolicy::on_insert(const Request& request, TimeStep /*time*/) {
-  set_credit(request.page, request.tenant);
+  PolicyContext linear = ctx;
+  linear.costs = &linear_costs_;
+  engine_.reset(linear);
 }
 
 }  // namespace ccc

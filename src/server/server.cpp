@@ -46,6 +46,9 @@ constexpr std::uint64_t kMetricsListener = 2;
 constexpr std::uint64_t kWakePipe = 3;
 constexpr std::uint64_t kSentinelMax = 3;
 
+/// Bytes read per read() call on a ready connection.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
@@ -268,10 +271,10 @@ void CacheServer::accept_ready(int listener_fd, bool metrics_listener) {
 void CacheServer::handle_readable(Connection& conn) {
   // Read until EAGAIN, with a per-event byte cap so one firehose
   // connection cannot starve the rest (level-triggered epoll re-notifies).
-  const std::size_t read_cap = options_.read_chunk * 16;
+  const std::size_t read_cap = kReadChunk * 16;
   std::size_t read_total = 0;
   static thread_local std::vector<char> chunk;
-  chunk.resize(options_.read_chunk);
+  chunk.resize(kReadChunk);
   while (read_total < read_cap && !conn.closed && !conn.close_after_flush) {
     const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
     if (n == 0) {
@@ -400,7 +403,6 @@ void CacheServer::flush_pending_batch(Connection& conn) {
   cache_.access_batch(std::span<const Request>(conn.pending), events);
   const std::uint64_t cache_done_ns = now_ns();
   const std::uint64_t cache_ns = cache_done_ns - batch_start_ns;
-  batch_latency_ns_hist_.record(cache_ns);
   batch_size_hist_.record(conn.pending.size());
   ++counters_.batches;
   counters_.requests += conn.pending.size();
@@ -622,35 +624,13 @@ std::pair<bool, std::string> CacheServer::debug_hist_json(
     os << "]}\n";
     return {false, os.str()};
   }
+  // Re-serialize just this family through the registry's JSON writer.
+  obs::MetricsRegistry one;
+  for (const obs::HistogramSample& sample : family->histograms)
+    one.set_histogram(family->name, family->help, sample.labels,
+                      sample.snapshot);
   std::ostringstream os;
-  os << "{\n  \"name\": \"" << family->name << "\",\n  \"help\": \""
-     << family->help << "\",\n  \"samples\": [";
-  for (std::size_t s = 0; s < family->histograms.size(); ++s) {
-    const obs::HistogramSample& sample = family->histograms[s];
-    if (s != 0) os << ",";
-    os << "\n    {\"labels\": {";
-    for (std::size_t l = 0; l < sample.labels.size(); ++l) {
-      if (l != 0) os << ", ";
-      os << '"' << sample.labels[l].first << "\": \""
-         << sample.labels[l].second << '"';
-    }
-    const obs::HistogramSnapshot& snap = sample.snapshot;
-    os << "}, \"count\": " << snap.count << ", \"sum\": " << snap.sum
-       << ", \"min\": " << snap.min << ", \"max\": " << snap.max
-       << ", \"p50\": " << snap.quantile(0.50)
-       << ", \"p99\": " << snap.quantile(0.99)
-       << ", \"p999\": " << snap.quantile(0.999) << ", \"buckets\": [";
-    bool first_bucket = true;
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-      if (snap.buckets[i] == 0) continue;
-      if (!first_bucket) os << ", ";
-      first_bucket = false;
-      os << '[' << obs::Histogram::bucket_high(i) << ", " << snap.buckets[i]
-         << ']';
-    }
-    os << "]}";
-  }
-  os << "\n  ]\n}\n";
+  one.write_json(os);
   return {true, os.str()};
 }
 
@@ -694,9 +674,6 @@ void CacheServer::fill_metrics(obs::MetricsRegistry& registry) const {
   registry.set_histogram("ccc_server_batch_size",
                          "Requests folded into one access_batch call", {},
                          batch_size_hist_.snapshot());
-  registry.set_histogram("ccc_server_batch_latency_ns",
-                         "access_batch service time per batch", {},
-                         batch_latency_ns_hist_.snapshot());
   registry.set_histogram("ccc_server_connection_requests",
                          "Requests served per closed connection", {},
                          connection_requests_hist_.snapshot());

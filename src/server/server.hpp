@@ -61,8 +61,6 @@ struct ServerOptions {
   std::size_t batch_limit = 1024;
   /// Pending-output bytes beyond which a connection's reads are paused.
   std::size_t max_output_backlog = std::size_t{4} << 20;
-  /// Bytes read per read() call on a ready connection.
-  std::size_t read_chunk = std::size_t{64} << 10;
   /// SO_SNDBUF for accepted cache connections; 0 keeps the kernel default.
   /// A small value makes send() hit EAGAIN early, forcing the backpressure
   /// machinery to engage — the lifecycle tests rely on that determinism.
@@ -127,7 +125,7 @@ class CacheServer {
   [[nodiscard]] ServerCounters counters() const noexcept { return counters_; }
 
   /// Builds the same registry the /metrics endpoint serializes: server
-  /// counters, batch-size/latency and per-connection-lifetime histograms,
+  /// counters, batch-size and per-connection-lifetime histograms,
   /// the per-stage request-latency attribution histograms
   /// (`ccc_server_stage_latency_ns{stage=decode|queue|cache|encode|flush}`),
   /// plus the full sharded-cache snapshot (per-tenant books, per-shard
@@ -164,8 +162,9 @@ class CacheServer {
                            const std::string& target);
   [[nodiscard]] std::string debug_costs_json() const;
   [[nodiscard]] std::string debug_slow_json() const;
-  /// Full bucket dump of one named histogram family, or a 404 body
-  /// listing the valid names (the bool distinguishes the two).
+  /// Full bucket dump of one named histogram family in the registry's
+  /// JSON format, or a 404 body listing the valid names (the bool
+  /// distinguishes the two).
   [[nodiscard]] std::pair<bool, std::string> debug_hist_json(
       std::string_view name) const;
   /// Runs the pending GET/SET batch (if any) and queues the responses.
@@ -197,7 +196,6 @@ class CacheServer {
 
   ServerCounters counters_;
   obs::Histogram batch_size_hist_;
-  obs::Histogram batch_latency_ns_hist_;
   obs::Histogram connection_requests_hist_;  ///< requests per closed conn
 
   /// Request-latency attribution (DESIGN.md §13): stage deltas recorded by

@@ -426,31 +426,12 @@ std::vector<std::size_t> ShardedCache::capacities() const {
   return caps;
 }
 
-void ShardedCache::set_rebalance_hook(RebalanceHook hook) {
-  rebalance_hook_ = std::move(hook);
-}
-
 void ShardedCache::rebalance() {
-  const std::vector<ShardStats> stats = shard_stats();
-  std::vector<std::size_t> split;
-  if (rebalance_hook_) {
-    split = rebalance_hook_(stats);
-  } else {
-    std::vector<std::uint64_t> misses;
-    misses.reserve(stats.size());
-    for (const ShardStats& s : stats) misses.push_back(s.misses);
-    split = miss_rate_split(options_.capacity, misses,
-                            options_.min_shard_capacity);
-  }
-  CCC_REQUIRE(split.size() == shards_.size(),
-              "rebalance hook returned the wrong number of shards");
-  std::size_t sum = 0;
-  for (const std::size_t c : split) {
-    CCC_REQUIRE(c > 0, "rebalance hook starved a shard");
-    sum += c;
-  }
-  CCC_REQUIRE(sum == options_.capacity,
-              "rebalance hook changed the total capacity");
+  std::vector<std::uint64_t> misses;
+  misses.reserve(shards_.size());
+  for (const ShardStats& s : shard_stats()) misses.push_back(s.misses);
+  const std::vector<std::size_t> split = miss_rate_split(
+      options_.capacity, misses, options_.min_shard_capacity);
   const std::vector<std::size_t> before =
       options_.step_observer != nullptr ? capacities()
                                         : std::vector<std::size_t>{};

@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -66,8 +65,8 @@ class ConvexCachingPolicy;
 
 /// Miss-rate-driven split: capacity proportional to each shard's share of
 /// the observed misses (+1 smoothing so an idle shard keeps a foothold),
-/// floored at `min_per_shard`, remainder to the heaviest missers. The
-/// default rebalancer hook feeds recent per-shard miss counts through this.
+/// floored at `min_per_shard`, remainder to the heaviest missers.
+/// ShardedCache::rebalance() feeds per-shard miss counts through this.
 [[nodiscard]] std::vector<std::size_t> miss_rate_split(
     std::size_t total, const std::vector<std::uint64_t>& misses,
     std::size_t min_per_shard);
@@ -142,12 +141,6 @@ struct ShardStats {
 
 class ShardedCache {
  public:
-  /// Computes a new capacity split from the current per-shard stats. Must
-  /// return `num_shards()` positive entries summing to the total capacity
-  /// (rebalance() validates and throws otherwise).
-  using RebalanceHook =
-      std::function<std::vector<std::size_t>(const std::vector<ShardStats>&)>;
-
   /// `factory` builds one independent policy per shard (nullptr selects
   /// ALG-DISCRETE via make_convex_factory). `costs`, when provided, must
   /// hold one function per tenant and outlive the cache.
@@ -225,18 +218,15 @@ class ShardedCache {
   /// lower bound rather than a wrong one.
   [[nodiscard]] std::vector<ShardDualAccount> dual_accounts() const;
 
-  /// Replaces the rebalancer (nullptr restores the default miss-rate hook).
-  void set_rebalance_hook(RebalanceHook hook);
-
-  /// Recomputes the capacity split from current shard stats via the hook
-  /// and applies it: growing shards just get headroom, shrinking shards
-  /// drain immediately through their policy's eviction path (see
-  /// SimulatorSession::resize). Data-race-free against concurrent access
-  /// in both hit-path modes (each shard is resized under its mutex, and
-  /// under kSeqlock the table rebuild sits inside an odd seq window so
-  /// lock-free readers retry); note the split is computed from a
-  /// moment-in-time stats snapshot, so concurrent traffic can make it
-  /// mildly stale — harmless, the next rebalance catches up.
+  /// Recomputes the capacity split from current per-shard miss counts
+  /// (miss_rate_split) and applies it: growing shards just get headroom,
+  /// shrinking shards drain immediately through their policy's eviction
+  /// path (see SimulatorSession::resize). Data-race-free against
+  /// concurrent access in both hit-path modes (each shard is resized under
+  /// its mutex, and under kSeqlock the table rebuild sits inside an odd
+  /// seq window so lock-free readers retry); note the split is computed
+  /// from a moment-in-time stats snapshot, so concurrent traffic can make
+  /// it mildly stale — harmless, the next rebalance catches up.
   void rebalance();
 
   /// Read-only view of one shard's session (tests / diagnostics; take care
@@ -307,7 +297,6 @@ class ShardedCache {
   ShardedCacheOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
-  RebalanceHook rebalance_hook_;
 };
 
 }  // namespace ccc

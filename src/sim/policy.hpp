@@ -27,8 +27,6 @@ struct PolicyContext {
   std::uint32_t num_tenants = 0;
   /// Per-tenant cost functions; may be null for cost-oblivious baselines.
   const std::vector<CostFunctionPtr>* costs = nullptr;
-  /// Read-only view of the live cache (owned by the simulator).
-  const CacheState* cache = nullptr;
   /// Seed for randomized policies.
   std::uint64_t seed = 0;
 };

@@ -26,7 +26,6 @@ SimulatorSession::SimulatorSession(std::size_t capacity,
   ctx.capacity = capacity;
   ctx.num_tenants = num_tenants;
   ctx.costs = costs;
-  ctx.cache = &cache_;
   ctx.seed = options.seed;
   policy_.reset(ctx);
   if (auditor_ != nullptr) auditor_->on_reset(ctx);
@@ -92,12 +91,8 @@ StepEvent SimulatorSession::step_impl(const Request& request) {
                 "policy chose a non-resident victim");
       if (auditor_ != nullptr)
         auditor_->on_victim_chosen(request, *victim, cache_, policy_, time_);
-      const TenantId victim_owner = cache_.owner(*victim);
-      cache_.erase(*victim);
-      metrics_.record_eviction(victim_owner);
-      policy_.on_evict(*victim, victim_owner, time_);
       event.victim = victim;
-      event.victim_owner = victim_owner;
+      event.victim_owner = evict(*victim);
     }
     cache_.insert(request.page, request.tenant);
     policy_.on_insert(request, time_);
@@ -118,24 +113,24 @@ PerfCounters SimulatorSession::perf_counters() const {
   return perf;
 }
 
+TenantId SimulatorSession::evict(PageId page) {
+  const TenantId owner = cache_.owner(page);
+  cache_.erase(page);
+  metrics_.record_eviction(owner);
+  policy_.on_evict(page, owner, time_);
+  return owner;
+}
+
 void SimulatorSession::resize(std::size_t new_capacity) {
   cache_.set_capacity(new_capacity);
   while (cache_.size() > new_capacity) {
     const PageId victim = policy_.choose_victim(Request{0, 0}, time_);
     CCC_CHECK(cache_.contains(victim), "policy chose a non-resident victim");
-    const TenantId owner = cache_.owner(victim);
-    cache_.erase(victim);
-    metrics_.record_eviction(owner);
-    policy_.on_evict(victim, owner, time_);
+    evict(victim);
   }
 }
 
-void SimulatorSession::invalidate(PageId page) {
-  const TenantId owner = cache_.owner(page);
-  cache_.erase(page);
-  metrics_.record_eviction(owner);
-  policy_.on_evict(page, owner, time_);
-}
+void SimulatorSession::invalidate(PageId page) { evict(page); }
 
 SimResult run_trace(const Trace& trace, std::size_t capacity,
                     ReplacementPolicy& policy,

@@ -166,6 +166,9 @@ class SimulatorSession {
   /// every `observer_period_`-th (wall-clock-timed) step, passing the
   /// policy counters accumulated since the previous invocation.
   StepEvent step_observed(const Request& request);
+  /// Removes resident `page`, charges the eviction to its owner and tells
+  /// the policy; returns the owner. Every eviction path goes through here.
+  TenantId evict(PageId page);
 
   CacheState cache_;
   Metrics metrics_;

@@ -346,7 +346,7 @@ TEST(AuditMutation, BumpShrinkBreaksLazySoundness) {
   Rig rig;
   // Postings froze score = key + old bump. Shrinking the bump makes them
   // all over-estimate — exactly the corruption lazy invalidation cannot
-  // repair (the policy handles real shrinkage with repost_tenant). Target
+  // repair (the policy handles real shrinkage with an index rebuild). Target
   // a tenant that actually owns a resident page.
   const TenantId tenant = rig.session.cache().pages().begin()->second;
   AuditTestPeer::shift_bump(rig.policy, tenant, -3.0);

@@ -1,6 +1,6 @@
-// Tests for Belady/MIN (policies/belady.hpp): exact behavior on crafted
-// traces and optimality (minimum total misses) against brute force.
-#include "policies/belady.hpp"
+// Tests for Belady/MIN (offline/weighted_belady.hpp): exact behavior on
+// crafted traces and optimality (minimum total misses) against brute force.
+#include "offline/weighted_belady.hpp"
 
 #include <gtest/gtest.h>
 

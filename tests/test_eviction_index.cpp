@@ -1,8 +1,8 @@
 // Tests for the O(log k) cross-tenant eviction index of ConvexCachingPolicy:
 // randomized differential replay against the literal Fig. 3 transcription
 // (NaiveConvexCachingPolicy), tie-breaking, window-rollover rebuilds,
-// lazy-invalidation repair for non-convex costs, compaction, and the perf
-// counters surfaced through SimResult.
+// the rebuild repair for non-convex costs, Landlord as Fig. 3 at β = 1,
+// compaction, and the perf counters surfaced through SimResult.
 //
 // All cost families here have integer-valued marginals, so both
 // implementations compute budgets exactly in floating point and victim
@@ -18,6 +18,7 @@
 #include "cost/combinators.hpp"
 #include "cost/monomial.hpp"
 #include "exp/policy_factory.hpp"
+#include "policies/landlord.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 
@@ -141,8 +142,8 @@ TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
 
 // The §2.5 discrete-marginal mode on non-convex costs shrinks tenant bumps
 // (a step cost's marginal falls back to 0 after each jump; sqrt marginals
-// decrease monotonically), driving the global index through its eager
-// re-post repair. The naive oracle applies each bump to every page of the
+// decrease monotonically), driving the global index through its rebuild
+// repair. The naive oracle applies each bump to every page of the
 // tenant eagerly, so agreement proves the repair is complete.
 TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
@@ -164,6 +165,33 @@ TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
     const SimResult g = run_trace(trace, 10, global_index, &costs, options);
     const SimResult n = run_trace(trace, 10, naive, &costs, options);
     expect_identical_decisions(g, n, "non-convex global vs naive");
+    // The shrinking bumps really drove the index through its rebuild.
+    EXPECT_GT(g.perf.index_rebuilds, 0u) << "seed " << seed;
+  }
+}
+
+// Landlord is Fig. 3 at β = 1: LandlordPolicy(w) must make the literal
+// transcription's decisions on MonomialCost(1, w_i). Integer weights keep
+// every credit exact, so the victim sequences match bit for bit.
+TEST(EvictionIndexDifferential, LandlordMatchesNaiveFig3AtBetaOne) {
+  constexpr std::uint32_t kTenants = 5;
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    const Trace trace = mixed_trace(kTenants, 8, 3000, seed);
+    std::vector<double> weights;
+    std::vector<CostFunctionPtr> costs;
+    for (std::uint32_t t = 0; t < kTenants; ++t) {
+      weights.push_back(1.0 + static_cast<double>((3 * t + seed) % 7));
+      costs.push_back(std::make_unique<MonomialCost>(1.0, weights.back()));
+    }
+    LandlordPolicy landlord(weights);
+    NaiveConvexCachingPolicy naive;
+    SimOptions options;
+    options.record_events = true;
+    const SimResult l = run_trace(trace, 12, landlord, nullptr, options);
+    const SimResult n = run_trace(trace, 12, naive, &costs, options);
+    expect_identical_decisions(l, n, "landlord vs naive");
+    EXPECT_GT(l.metrics.total_evictions(), trace.size() / 10)
+        << "seed " << seed;
   }
 }
 

@@ -422,27 +422,6 @@ TEST(ShardedCache, RebalanceKeepsTotalCapacityAndDrainsShrunkShards) {
   EXPECT_EQ(m.total_hits() + m.total_misses(), trace.size() + more.size());
 }
 
-TEST(ShardedCache, RebalanceHookIsValidated) {
-  const auto costs = quadratic_costs(4);
-  ShardedCache cache(options_for(32, 4, 4), nullptr, &costs);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{32, 0, 0, 0};  // starves shards
-      });
-  EXPECT_THROW(cache.rebalance(), std::invalid_argument);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{8, 8, 8};  // wrong shard count
-      });
-  EXPECT_THROW(cache.rebalance(), std::invalid_argument);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{16, 8, 4, 4};
-      });
-  cache.rebalance();
-  EXPECT_EQ(cache.capacities(), (std::vector<std::size_t>{16, 8, 4, 4}));
-}
-
 // ------------------------------------------------------------------ stress
 
 // Concurrent writers with randomized batch sizes — the TSan target. Any

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "cost/monomial.hpp"
-#include "policies/belady.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 

@@ -230,11 +230,23 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
   const double tol = config_.tolerance;
   if (!std::isfinite(policy.offset_))
     violation("index-state", "global debit offset is not finite", time);
-  for (std::size_t t = 0; t < policy.tenant_bump_.size(); ++t)
+  for (std::size_t t = 0; t < policy.tenant_bump_.size(); ++t) {
+    const auto tenant = static_cast<TenantId>(t);
     if (!std::isfinite(policy.tenant_bump_[t]))
       violation("index-state",
                 "bump of tenant " + std::to_string(t) + " is not finite",
                 time);
+    // The cached re-freeze base must be the expression a literal Fig. 3
+    // refresh evaluates, bit for bit — else hits freeze wrong keys.
+    const double refreeze =
+        policy.next_marginal(tenant) - policy.tenant_bump_[t];
+    if (!(policy.refreeze_[t] == refreeze))
+      violation("index-state",
+                "cached re-freeze base of tenant " + std::to_string(t) +
+                    " is " + std::to_string(policy.refreeze_[t]) +
+                    ", next marginal − bump = " + std::to_string(refreeze),
+                time);
+  }
 
   const auto& entries = heap_container(policy.global_);
   // Stale-fraction bound: dead postings are compacted 4:1, so the heap can
@@ -249,36 +261,35 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
                   " resident pages (bound " + std::to_string(bound) + ")",
               time);
 
-  // A posting is fresh iff it refers to the page's *current* budget
-  // setting (key match). Lazy-invalidation soundness: each resident page
-  // must have a fresh posting, and its best fresh posting must not
-  // over-estimate key + bump — otherwise the heap could surface a wrong
-  // minimum before it.
-  std::unordered_map<PageId, double> min_fresh_score;
+  // Lazy-index invariant: each resident page has a posting (same page and
+  // tenant) whose score is ≤ its current key + bump. Postings may
+  // under-estimate — a raised key or a grown bump is re-posted when it
+  // surfaces — but the page's best posting must not over-estimate, or the
+  // heap could surface a wrong minimum before it. Coverage is the exact
+  // rule the argmin needs; soundness flags an over-estimate beyond the
+  // tolerance.
+  std::unordered_map<PageId, double> min_score;
   for (const auto& entry : entries) {
     const auto it = policy.pages_.find(entry.page);
-    if (it == policy.pages_.end() || it->second.tenant != entry.tenant ||
-        it->second.key != entry.key)
-      continue;  // dead posting — skipped lazily by the index, fine
-    const auto [slot, inserted] =
-        min_fresh_score.try_emplace(entry.page, entry.score);
+    if (it == policy.pages_.end() || it->second.tenant != entry.tenant)
+      continue;  // dead posting — dropped lazily by the index, fine
+    const auto [slot, inserted] = min_score.try_emplace(entry.page, entry.score);
     if (!inserted) slot->second = std::min(slot->second, entry.score);
   }
   for (const auto& [page, state] : policy.pages_) {
-    const auto it = min_fresh_score.find(page);
-    if (it == min_fresh_score.end()) {
+    const double current = state.key + policy.tenant_bump_[state.tenant];
+    const auto it = min_score.find(page);
+    if (it == min_score.end() || it->second > current)
       violation("index-coverage",
                 "resident page " + page_str(page) +
-                    " has no fresh posting in the global heap",
+                    " has no posting scoring ≤ key + bump = " +
+                    std::to_string(current) + " in the global heap",
                 time);
-      continue;
-    }
-    const double current = state.key + policy.tenant_bump_[state.tenant];
-    if (it->second > current + tol)
+    if (it != min_score.end() && it->second > current + tol)
       violation("index-soundness",
-                "best fresh posting of page " + page_str(page) +
-                    " scores " + std::to_string(it->second) +
-                    " > key + bump = " + std::to_string(current) +
+                "best posting of page " + page_str(page) + " scores " +
+                    std::to_string(it->second) + " > key + bump = " +
+                    std::to_string(current) +
                     " — the lazy heap would rank it too low",
                 time);
   }

@@ -21,10 +21,11 @@
 ///     where Fig. 3 gives no guarantee.
 ///  4. **Eviction-index consistency**: the policy's resident-page table
 ///     matches the simulator's cache; every resident page is covered by a
-///     fresh posting (key match) whose score does not over-estimate
-///     `key + tenant bump` (the lazy-invalidation soundness invariant);
-///     global offset and per-tenant bumps are finite; dead postings stay
-///     within the compaction bound
+///     posting (same page and tenant) whose score does not over-estimate
+///     `key + tenant bump` (the lazy-index invariant — postings may
+///     under-estimate); global offset and per-tenant bumps are finite and
+///     each tenant's cached re-freeze base equals `f'(m+1) − bump`; dead
+///     postings stay within the compaction bound
 ///     `max(kCompactionMinimum, kCompactionFactor · live)`.
 ///  5. **ALG-CONT shadow** (opt-in): the observed request stream is
 ///     replayed through `run_alg_cont` at end of run and the full §2.3

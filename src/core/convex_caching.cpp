@@ -34,6 +34,9 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   offset_ = 0.0;
   tenant_bump_.assign(ctx.num_tenants, 0.0);
   evictions_.assign(ctx.num_tenants, 0);
+  refreeze_.assign(ctx.num_tenants, 0.0);
+  for (TenantId t = 0; t < ctx.num_tenants; ++t)
+    refresh_refreeze(t, next_marginal(t));
   dual_mass_.assign(ctx.num_tenants, 0.0);
   // Drop the old postings *before* rewinding their arena (their storage
   // dangles the moment the arena resets), then recycle the blocks.
@@ -41,7 +44,6 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   index_arena_.reset();
   pages_.clear();
   pages_.reserve(ctx.capacity);
-  marginal_scratch_.assign(ctx.num_tenants, 0.0);
   last_evict_moved_offset_ = false;
   last_evict_refreshed_tenant_ = false;
   current_window_ = 0;
@@ -60,8 +62,8 @@ void ConvexCachingPolicy::rebuild_index() {
   IndexVector entries(index_alloc());
   entries.reserve(pages_.size());
   for (const auto& [page, state] : pages_)
-    entries.push_back(IndexEntry{state.key + tenant_bump_[state.tenant],
-                                 state.key, page, state.tenant});
+    entries.push_back(
+        IndexEntry{state.key + tenant_bump_[state.tenant], page, state.tenant});
   global_ = GlobalHeap(std::greater<IndexEntry>{}, std::move(entries));
 }
 
@@ -76,18 +78,18 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
   std::fill(evictions_.begin(), evictions_.end(), 0);
   std::fill(tenant_bump_.begin(), tenant_bump_.end(), 0.0);
   offset_ = 0.0;
-  // Re-base every resident budget. The per-tenant marginals (virtual
-  // calls) are hoisted into a dense table so the page pass is a flat,
-  // branchless select over the residency table's SoA slot arrays —
-  // autovectorizable, unlike a proxy-iterator loop with an indirect call
-  // per resident page.
-  for (TenantId t = 0; t < marginal_scratch_.size(); ++t)
-    marginal_scratch_[t] = next_marginal(t);
-  const double* marginal = marginal_scratch_.data();
+  // Re-base every resident budget. With offset and bumps at zero a
+  // re-frozen key is the tenant's marginal, i.e. its re-freeze base: the
+  // per-tenant marginals (virtual calls) land in that dense table, so the
+  // page pass is a flat, branchless select over the residency table's SoA
+  // slot arrays — autovectorizable, unlike a proxy-iterator loop with an
+  // indirect call per resident page.
+  for (TenantId t = 0; t < refreeze_.size(); ++t)
+    refresh_refreeze(t, next_marginal(t));
+  const double* marginal = refreeze_.data();
   const std::uint64_t* keys = pages_.key_data();
   PageState* vals = pages_.value_data();
-  const std::size_t slots =
-      marginal_scratch_.empty() ? 0 : pages_.slot_count();
+  const std::size_t slots = refreeze_.empty() ? 0 : pages_.slot_count();
   for (std::size_t i = 0; i < slots; ++i) {
     // Dead slots select index 0 and write their own key back, keeping the
     // loop body branch-free (a dead slot's tenant field may be stale).
@@ -105,7 +107,7 @@ double ConvexCachingPolicy::next_marginal(TenantId tenant) const {
 
 void ConvexCachingPolicy::push_global(PageId page, TenantId tenant,
                                       double key) {
-  global_.push(IndexEntry{key + tenant_bump_[tenant], key, page, tenant});
+  global_.push(IndexEntry{key + tenant_bump_[tenant], page, tenant});
 }
 
 void ConvexCachingPolicy::maybe_compact() {
@@ -114,55 +116,60 @@ void ConvexCachingPolicy::maybe_compact() {
   rebuild_index();
 }
 
-void ConvexCachingPolicy::set_budget(PageId page, TenantId tenant) {
-  // Freeze the budget against the current offsets; the old index entry (if
-  // any) becomes stale and is skipped lazily.
-  const double key = next_marginal(tenant) - tenant_bump_[tenant] + offset_;
-  pages_[page] = PageState{key, tenant};
-  push_global(page, tenant, key);
-  maybe_compact();
-}
-
 void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
   maybe_roll_window(time);
-  // Fig. 3, first bullet: refresh B(p_t) on every access.
-  set_budget(request.page, request.tenant);
+  // Fig. 3, first bullet: refresh B(p_t) on every access — frozen against
+  // the current offsets, so the key only moves when they did.
+  const double key = refreeze_key(request.tenant);
+  const auto it = pages_.find(request.page);
+  CCC_CHECK(it != pages_.end(), "ConvexCaching hit on an untracked page");
+  double& stored = it->second.key;
+  if (key == stored) return;
+  const bool fell = key < stored;
+  stored = key;
+  // A raised key leaves the page's postings under-estimating, which the
+  // index absorbs lazily (choose_victim re-posts). A lowered one would make
+  // them over-estimate, so post it now; convex runs only get here by an
+  // FP ulp.
+  if (fell) {
+    push_global(request.page, request.tenant, key);
+    maybe_compact();
+  }
 }
 
 PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
                                           TimeStep time) {
   maybe_roll_window(time);
   ++counters_.evictions;
-  // Lazy-invalidation invariant: every resident page has at least one
-  // posting whose score is ≤ its current (key + bump) — postings go stale
-  // only by under-estimating (bumps of convex tenants only grow; a
-  // shrinking bump rebuilds the index eagerly). Popping in (score, page)
-  // order therefore surfaces the true minimum — with the paper's
-  // lowest-page-id tie-break — as the first posting that validates.
+  // Lazy-index invariant: every resident page has at least one posting
+  // whose score is ≤ its current (key + bump) — postings go stale only by
+  // under-estimating (hits raise keys and convex bumps only grow; a falling
+  // key is posted eagerly and a shrinking bump rebuilds the index).
+  // Popping in (score, page) order therefore surfaces the true minimum —
+  // with the paper's lowest-page-id tie-break — as the first posting whose
+  // score equals its page's current score.
   while (!global_.empty()) {
     const IndexEntry top = global_.top();
     const auto it = pages_.find(top.page);
-    if (it == pages_.end() || it->second.tenant != top.tenant ||
-        it->second.key != top.key) {
-      // Page evicted, or its budget was refreshed since: a newer posting
-      // covers it (or nothing needs to).
+    if (it != pages_.end() && it->second.tenant == top.tenant) {
+      const double key = it->second.key;
+      const double score = key + tenant_bump_[top.tenant];
+      if (score == top.score) return top.page;
       global_.pop();
       ++counters_.heap_pops;
       ++counters_.stale_skips;
+      // Under-estimating: the key rose or the tenant was bumped since this
+      // posting — re-post at the current score and keep looking. Within one
+      // call scores are constant, so each posting is re-posted at most once
+      // and the loop terminates. Over-estimating: a lower posting of this
+      // page exists (an eager fall), so this one is dropped.
+      if (score > top.score) push_global(top.page, top.tenant, key);
       continue;
     }
-    const double score = top.key + tenant_bump_[top.tenant];
-    if (score != top.score) {
-      // The tenant was bumped since this posting: re-post at the current
-      // score and keep looking. Within one call bumps are constant, so
-      // each posting is re-pushed at most once — the loop terminates.
-      global_.pop();
-      ++counters_.heap_pops;
-      ++counters_.stale_skips;
-      push_global(top.page, top.tenant, top.key);
-      continue;
-    }
-    return top.page;
+    // Page evicted: nothing needs this posting.
+    global_.pop();
+    ++counters_.heap_pops;
+    ++counters_.stale_skips;
   }
   CCC_CHECK(false, "ConvexCaching asked for a victim with an empty cache");
   return 0;  // unreachable
@@ -194,8 +201,8 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
   // marginal of its *next* miss moves from f'(m+1) to f'(m+2).
   const std::uint64_t m_before = evictions_[owner]++;
   const CostFunction& f = *(*costs_)[owner];
-  const double delta = marginal_at(f, m_before + 1, options_.derivative) -
-                       marginal_at(f, m_before, options_.derivative);
+  const double next = marginal_at(f, m_before + 1, options_.derivative);
+  const double delta = next - marginal_at(f, m_before, options_.derivative);
   // The owner's re-freeze inputs moved iff its next-marginal value did:
   // with a zero delta both the marginal and the bump (when enabled) are
   // bit-identical to before, so the owner's keys still re-freeze exactly
@@ -211,14 +218,18 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
     // (the same repair compaction and window rollover use).
     if (delta < 0.0) rebuild_index();
   }
+  refresh_refreeze(owner, next);
 }
 
 void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
   maybe_roll_window(time);
   // Fig. 3: B(p_t) ← f'(m+1). Inserted after the offset/bump updates of the
   // same step, so the new page is exempt from this step's debit — exactly
-  // the "p' ∉ {p, p_t}" exclusion.
-  set_budget(request.page, request.tenant);
+  // the "p' ∉ {p, p_t}" exclusion. A new page needs its own posting.
+  const double key = refreeze_key(request.tenant);
+  pages_[request.page] = PageState{key, request.tenant};
+  push_global(request.page, request.tenant, key);
+  maybe_compact();
 }
 
 double ConvexCachingPolicy::budget(PageId page) const {

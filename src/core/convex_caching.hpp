@@ -17,13 +17,20 @@
 /// This class is the production implementation. The "debit everyone" step
 /// is folded into a global offset (it cannot change the argmin) and the
 /// per-tenant bump into a per-tenant offset, so per-page keys are immutable
-/// between touches. Victim selection is served by a single cross-tenant
-/// lazy min-heap over (key + tenant bump, page id). Per-tenant bumps
-/// invalidate that tenant's entries *lazily* — a popped entry whose stored
-/// score no longer matches `key + tenant_bump_[i]` is re-pushed at its
-/// current score — so every operation is amortized O(log k) regardless of
-/// the number of tenants. This is the Landlord-style credit-index layout
-/// (Young's on-line file caching) applied to the paper's budgets.
+/// between touches. A page's re-freeze value `f'(m+1) − bump + offset` is
+/// cached per tenant (`refreeze_`, recomputed only when the tenant's miss
+/// count or bump moves), so a hit is one residency probe and one store.
+///
+/// Victim selection is served by a single cross-tenant lazy min-heap over
+/// (key + tenant bump, page id). Its invariant is that every resident page
+/// has a posting whose score is ≤ its current `key + tenant_bump_[i]`.
+/// Neither a grown bump nor a hit that raises a key pushes anything: the
+/// page's old posting now under-estimates, and `choose_victim` re-posts it
+/// at the current score when it surfaces. Only a key that *falls* on a hit
+/// (FP-ulp or non-convex paths) is posted eagerly. Every operation is
+/// therefore amortized O(log k) regardless of the number of tenants, and
+/// hits never touch the heap. This is the Landlord-style credit-index
+/// layout (Young's on-line file caching) applied to the paper's budgets.
 ///
 /// Budgets are computed with the same floating-point expressions as the
 /// literal Fig. 3 transcription (NaiveConvexCachingPolicy), so on
@@ -34,7 +41,7 @@
 /// is replaced by `f(m+1) − f(m)`, which supports arbitrary — non-convex,
 /// even discontinuous — cost functions (no guarantee, but a working
 /// algorithm; experiment E5). Non-convex costs can *shrink* a tenant's
-/// bump; lazy invalidation is only sound for monotone growth, so the global
+/// bump; lazy re-posting is only sound for monotone growth, so the global
 /// index is then rebuilt from the resident set — the one repair path,
 /// shared with compaction and window rollover. Convex runs never take it.
 ///
@@ -177,17 +184,26 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return key + tenant_bump_[tenant] - offset_;
   }
 
-  void set_budget(PageId page, TenantId tenant);
+  /// The key a touch of one of `tenant`'s pages freezes right now:
+  /// (f'(m+1) − bump) + offset, the same FP expression in the same order
+  /// as the literal Fig. 3 refresh.
+  [[nodiscard]] double refreeze_key(TenantId tenant) const {
+    return refreeze_[tenant] + offset_;
+  }
+  /// Recomputes `refreeze_[tenant]` from the tenant's next marginal; call
+  /// wherever its miss count or bump moves.
+  void refresh_refreeze(TenantId tenant, double next_marginal) {
+    refreeze_[tenant] = next_marginal - tenant_bump_[tenant];
+  }
 
   /// One posting in the cross-tenant index. `score` is the cross-tenant
   /// comparison value `key + tenant_bump_[tenant]` frozen at push time
-  /// (the global `offset_` shifts every page equally and is left out);
-  /// `key` identifies which budget-setting this posting refers to, so a
-  /// page whose budget was refreshed since invalidates all its older
-  /// postings.
+  /// (the global `offset_` shifts every page equally and is left out). A
+  /// posting is current when its score equals the page's current
+  /// `key + bump`; a lower one is re-posted when popped, a higher one is
+  /// dropped (a lower posting of the same page exists).
   struct IndexEntry {
     double score;
-    double key;
     PageId page;
     TenantId tenant;
     friend bool operator>(const IndexEntry& a, const IndexEntry& b) {
@@ -216,8 +232,9 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   void push_global(PageId page, TenantId tenant, double key);
 
   /// Rebuilds the global heap from the resident set when dead postings
-  /// outnumber live pages by `kCompactionFactor` (hit-heavy streams refresh
-  /// budgets far more often than evictions drain postings).
+  /// outnumber live pages by `kCompactionFactor`. Hits never push on
+  /// convex runs, so this only fires where keys fall (non-convex costs,
+  /// FP-ulp refreshes) or postings of re-inserted pages pile up.
   void maybe_compact();
 
   /// Rebuilds the global heap from the resident set `pages_` at current
@@ -240,6 +257,9 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
 
   double offset_ = 0.0;                  ///< cumulative global debit
   std::vector<double> tenant_bump_;      ///< cumulative per-tenant bumps
+  /// next_marginal(i) − tenant_bump_[i] per tenant: a touch freezes
+  /// key = refreeze_[i] + offset_ (see refreeze_key).
+  std::vector<double> refreeze_;
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
   std::vector<double> dual_mass_;        ///< Σ B(victim) per victim owner
   // Declaration order matters: the arena must outlive (so: precede) every
@@ -249,8 +269,6 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   GlobalHeap global_{std::greater<IndexEntry>{},
                      IndexVector(IndexAlloc(&index_arena_))};
   util::FlatMap<PageState> pages_;       ///< resident pages (flat, SoA)
-  /// Scratch for the windowed re-base (hoisted per-tenant marginals).
-  std::vector<double> marginal_scratch_;
   bool last_evict_moved_offset_ = false;
   bool last_evict_refreshed_tenant_ = false;
   std::size_t current_window_ = 0;

@@ -24,6 +24,16 @@ void put_u64(std::string& out, std::uint64_t v) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
+/// Little-endian stores into already-sized storage; compilers fold each
+/// into one store.
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void store_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
                                     static_cast<std::uint16_t>(p[1]) << 8);
@@ -123,10 +133,20 @@ void append_request(std::string& out, Opcode opcode, TenantId tenant,
 
 void append_response(std::string& out, Status status, std::uint64_t value,
                      std::span<const std::uint8_t> tail) {
-  put_prefix(out,
-             static_cast<std::uint32_t>(kResponseBodyBytes + tail.size()),
-             static_cast<std::uint8_t>(status));
-  put_u64(out, value);
+  // The fixed part (length, prefix, value) is one resize and five stores,
+  // not a push_back per byte: every GET/SET answer is exactly this part.
+  constexpr std::size_t kFixed = 4 + kFramePrefixBytes + kResponseBodyBytes;
+  const std::size_t at = out.size();
+  out.resize(at + kFixed);
+  char* p = out.data() + at;
+  store_u32(p, static_cast<std::uint32_t>(kFramePrefixBytes +
+                                          kResponseBodyBytes + tail.size()));
+  store_u32(p + 4, kMagic);
+  p[8] = static_cast<char>(kVersion);
+  p[9] = static_cast<char>(status);
+  p[10] = 0;  // reserved (u16)
+  p[11] = 0;
+  store_u64(p + 12, value);
   out.append(reinterpret_cast<const char*>(tail.data()), tail.size());
 }
 

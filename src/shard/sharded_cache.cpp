@@ -311,8 +311,13 @@ void ShardedCache::dispatch_batch(std::span<const Request> batch,
     return;
   }
   // Group by shard without reordering within a group: bucket the request
-  // indices, then drain bucket by bucket under one lock each.
-  std::vector<std::vector<std::size_t>> groups(shards_.size());
+  // indices, then drain bucket by bucket under one lock each. The buckets
+  // are per-thread scratch that keeps its capacity across calls, so a
+  // steady-state batch allocates nothing. Nothing below re-enters
+  // dispatch_batch on this thread, so one set per thread suffices.
+  thread_local std::vector<std::vector<std::size_t>> groups;
+  if (groups.size() < shards_.size()) groups.resize(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) groups[s].clear();
   for (std::size_t i = 0; i < batch.size(); ++i)
     groups[shard_of(batch[i].page)].push_back(i);
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -60,7 +60,7 @@ struct AuditTestPeer {
     // fails the residency lookup and only the compaction bound can object.
     for (std::size_t i = 0; i < count; ++i)
       p.global_.push(ConvexCachingPolicy::IndexEntry{
-          1e18, 1e18, PageId{1'000'000'000} + i, 0});
+          1e18, PageId{1'000'000'000} + i, 0});
   }
 };
 
@@ -334,9 +334,11 @@ TEST(AuditMutation, NegativeOffsetBreaksBudgetUpperBound) {
 TEST(AuditMutation, KeyCorruptionOrphansItsPostings) {
   Rig rig;
   const PageId page = rig.session.cache().pages().begin()->first;
-  // Every posting of this page carries the old key, so none validates as
-  // fresh any more — the page is uncovered in the index.
-  AuditTestPeer::shift_key(rig.policy, page, 0.5);
+  // Every posting of this page was scored against the old key. A raised
+  // key is a legal lazy state (the postings under-estimate and are
+  // re-posted when they surface); a key lowered past every posting — by
+  // more than any bump it may lag behind — leaves the page uncovered.
+  AuditTestPeer::shift_key(rig.policy, page, -1000.0);
   rig.audit_now();
   EXPECT_TRUE(fired(rig.auditor.report(), "index-coverage"))
       << rig.auditor.report().summary();

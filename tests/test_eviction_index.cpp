@@ -2,9 +2,10 @@
 // randomized differential replay against the literal Fig. 3 transcription
 // (NaiveConvexCachingPolicy), tie-breaking, window-rollover rebuilds,
 // the rebuild repair for non-convex costs, Landlord as Fig. 3 at β = 1,
-// compaction, and the perf counters surfaced through SimResult.
+// compaction, the hit path (no push unless a key falls), and the perf
+// counters surfaced through SimResult.
 //
-// All cost families here have integer-valued marginals, so both
+// Every differential here uses integer-valued marginals, so both
 // implementations compute budgets exactly in floating point and victim
 // sequences must match bit for bit.
 #include <initializer_list>
@@ -282,19 +283,84 @@ TEST(EvictionIndexWindow, RollRebuildsIndexAndRebasesBudgets) {
 // Index hygiene and counters.
 
 TEST(EvictionIndexCompaction, HitHeavyStreamStaysBounded) {
-  // Capacity 8 over a 10-page universe: hits dominate, so postings pile up
-  // ~1 per request while only evictions drain them — compaction must keep
-  // the index proportional to the resident set, not the request count.
+  // Capacity 16 over an 18-page universe: hits dominate. Concave marginals
+  // with the bump ablation off make a tenant's re-freeze value *fall* after
+  // each of its evictions, so the next hit on every resident page posts
+  // eagerly and leaves its older postings dead, while only evictions drain
+  // them — compaction must keep the index proportional to the resident
+  // set, not the request count.
   std::vector<CostFunctionPtr> costs;
-  costs.push_back(std::make_unique<MonomialCost>(2.0));
+  costs.push_back(std::make_unique<SqrtCost>(1.0));
+  ConvexCachingOptions no_bump;
+  no_bump.bump_victim_tenant = false;
   Rng rng(99);
-  const Trace trace = random_uniform_trace(1, 10, 50'000, rng);
-  ConvexCachingPolicy policy;
-  const SimResult result = run_trace(trace, 8, policy, &costs);
+  const Trace trace = random_uniform_trace(1, 18, 50'000, rng);
+  ConvexCachingPolicy policy(no_bump);
+  const SimResult result = run_trace(trace, 16, policy, &costs);
   EXPECT_GT(result.perf.index_rebuilds, 0u);
   EXPECT_LE(policy.index_size(), 128u);
   EXPECT_EQ(result.metrics.total_hits() + result.metrics.total_misses(),
             trace.size());
+}
+
+// ---------------------------------------------------------------------------
+// The hit path: a hit stores the re-frozen key and posts nothing unless the
+// key fell.
+
+TEST(EvictionIndexHitPath, HitsNeverPush) {
+  // Convex costs: keys only rise between touches, so after warm-up a
+  // hit-only stream (every page resident, no evictions) leaves the index
+  // exactly as it was — even right after evictions moved every re-freeze
+  // value (the first pass below re-freezes raised keys).
+  const auto costs = integer_costs(4);
+  ConvexCachingPolicy policy;
+  SimulatorSession session(16, 4, policy, &costs);
+  const Trace warmup = mixed_trace(4, 8, 2000, /*seed=*/5);
+  for (std::size_t i = 0; i < warmup.size(); ++i) session.step(warmup[i]);
+  ASSERT_GT(session.metrics().total_evictions(), 0u);
+  std::vector<Request> resident;
+  for (const auto& [page, tenant] : session.cache().pages())
+    resident.push_back({tenant, page});
+  const std::size_t postings = policy.index_size();
+  for (int pass = 0; pass < 3; ++pass)
+    for (const Request& r : resident) {
+      ASSERT_TRUE(session.step(r).hit);
+      ASSERT_EQ(policy.index_size(), postings) << "pass " << pass;
+    }
+}
+
+TEST(EvictionIndexHitPath, FallingKeysPostEagerlyAndMatchNaive) {
+  // §2.5 step costs with the bump ablation off: a tenant's marginal
+  // f(m+1) − f(m) drops back to 0 after each jump, so the hit that follows
+  // on each of its resident pages freezes a *lower* key — the one hit-path
+  // branch that must push, since the page's old postings now over-estimate.
+  // A hit that grows the index took that branch. Marginals are integers,
+  // so the naive oracle must agree on every victim, bit for bit.
+  constexpr std::uint32_t kTenants = 3;
+  std::vector<CostFunctionPtr> costs;
+  for (std::uint32_t t = 0; t < kTenants; ++t)
+    costs.push_back(std::make_unique<StepCost>(3.0 + t, 8.0));
+  ConvexCachingOptions options;
+  options.derivative = DerivativeMode::kDiscreteMarginal;
+  options.bump_victim_tenant = false;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const Trace trace = random_uniform_trace(kTenants, 10, 5000, rng);
+    ConvexCachingPolicy global_index(options);
+    NaiveConvexCachingPolicy naive(options);
+    SimulatorSession g(24, kTenants, global_index, &costs);
+    SimulatorSession n(24, kTenants, naive, &costs);
+    std::size_t eager_posts = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const std::size_t before = global_index.index_size();
+      const StepEvent eg = g.step(trace[i]);
+      const StepEvent en = n.step(trace[i]);
+      ASSERT_EQ(eg.hit, en.hit) << "seed " << seed << " step " << i;
+      ASSERT_EQ(eg.victim, en.victim) << "seed " << seed << " step " << i;
+      if (eg.hit && global_index.index_size() > before) ++eager_posts;
+    }
+    EXPECT_GT(eager_posts, 0u) << "seed " << seed;
+  }
 }
 
 TEST(EvictionIndexCounters, RunTraceFillsPerfCounters) {

@@ -1,6 +1,8 @@
 #include "core/convex_caching.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -103,6 +105,16 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
 double ConvexCachingPolicy::next_marginal(TenantId tenant) const {
   return marginal_at(*(*costs_)[tenant], evictions_[tenant],
                      options_.derivative);
+}
+
+void ConvexCachingPolicy::refresh_refreeze(TenantId tenant,
+                                           double next_marginal) {
+  CCC_CHECK(std::isfinite(next_marginal),
+            "tenant " + std::to_string(tenant) + "'s marginal f'(m+1) is " +
+                std::to_string(next_marginal) + " at m = " +
+                std::to_string(evictions_[tenant]) +
+                " evictions; ALG-DISCRETE needs finite marginals");
+  refreeze_[tenant] = next_marginal - tenant_bump_[tenant];
 }
 
 void ConvexCachingPolicy::push_global(PageId page, TenantId tenant,

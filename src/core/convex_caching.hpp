@@ -191,10 +191,10 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return refreeze_[tenant] + offset_;
   }
   /// Recomputes `refreeze_[tenant]` from the tenant's next marginal; call
-  /// wherever its miss count or bump moves.
-  void refresh_refreeze(TenantId tenant, double next_marginal) {
-    refreeze_[tenant] = next_marginal - tenant_bump_[tenant];
-  }
+  /// wherever its miss count or bump moves. Every marginal enters the
+  /// index here, so this is where a non-finite one (an overflowing f') is
+  /// rejected before it turns keys into inf/NaN.
+  void refresh_refreeze(TenantId tenant, double next_marginal);
 
   /// One posting in the cross-tenant index. `score` is the cross-tenant
   /// comparison value `key + tenant_bump_[tenant]` frozen at push time

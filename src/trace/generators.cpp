@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/string_util.hpp"
@@ -26,6 +28,8 @@ ZipfPages::ZipfPages(std::uint64_t num_pages, double skew)
     : num_pages_(num_pages), skew_(skew) {
   CCC_REQUIRE(num_pages > 0, "ZipfPages needs a non-empty universe");
   CCC_REQUIRE(skew >= 0.0, "ZipfPages skew must be >= 0");
+  CCC_REQUIRE(num_pages <= std::numeric_limits<std::uint32_t>::max(),
+              "ZipfPages universe must fit 32-bit ranks");
   cdf_.resize(num_pages);
   double acc = 0.0;
   for (std::uint64_t r = 0; r < num_pages; ++r) {
@@ -34,12 +38,30 @@ ZipfPages::ZipfPages(std::uint64_t num_pages, double skew)
   }
   for (double& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against rounding
+  guide_.resize(num_pages);
+  std::uint32_t r = 0;
+  const auto buckets = static_cast<double>(num_pages);
+  for (std::uint64_t b = 0; b < num_pages; ++b) {
+    while (cdf_[r] < static_cast<double>(b) / buckets) ++r;
+    guide_[b] = r;
+  }
 }
 
 std::uint64_t ZipfPages::next(Rng& rng) {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(std::distance(cdf_.begin(), it));
+  return inverse_cdf(rng.next_double());
+}
+
+std::uint64_t ZipfPages::inverse_cdf(double u) const {
+  const auto bucket = std::min(
+      static_cast<std::uint64_t>(u * static_cast<double>(num_pages_)),
+      num_pages_ - 1);
+  // Step from the guide to the first cdf entry >= u. The walk goes both
+  // ways because u · n may round across a bucket edge; cdf_.back() == 1 > u
+  // ends the forward walk.
+  std::uint64_t r = guide_[bucket];
+  while (r > 0 && cdf_[r - 1] >= u) --r;
+  while (cdf_[r] < u) ++r;
+  return r;
 }
 
 std::string ZipfPages::name() const {
@@ -142,27 +164,80 @@ std::unique_ptr<PageGenerator> MarkovPages::clone() const {
   return std::make_unique<MarkovPages>(*this);
 }
 
+TenantSampler::TenantSampler(std::vector<double> weights)
+    : weights_(std::move(weights)) {
+  CCC_REQUIRE(!weights_.empty(), "generate_trace needs at least one tenant");
+  CCC_REQUIRE(weights_.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "tenant count must fit 32-bit tenant ids");
+  prefix_.reserve(weights_.size());
+  double total = 0.0;
+  for (const double w : weights_) {
+    CCC_REQUIRE(std::isfinite(w), "tenant weights must be finite");
+    CCC_REQUIRE(w > 0.0, "tenant weights must be positive");
+    total += w;
+    prefix_.push_back(total);
+  }
+  CCC_REQUIRE(std::isfinite(total), "tenant weights must have a finite sum");
+
+  const std::size_t n = weights_.size();
+  bucket_scale_ = static_cast<double>(n) / total;
+  guide_.resize(n);
+  std::uint32_t i = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    const double edge = static_cast<double>(b) / bucket_scale_;
+    while (i + 1 < n && prefix_[i] <= edge) ++i;
+    guide_[b] = i;
+  }
+  // Every scan step rounds once (≤ ulp(total)/2, as every partial value
+  // lies in [−total, total]), and so does every prefix-sum addition, so
+  // after i+1 steps the scan's u differs from u − P_i by less than
+  // n·ulp(total). Outside a band one ulp wider than that on both sides of
+  // the bracketing prefix sums the scan's signs — and so its answer — are
+  // those of u − P_j. At total == DBL_MAX the band is infinite and every
+  // draw scans.
+  const double ulp =
+      std::nextafter(total, std::numeric_limits<double>::infinity()) - total;
+  band_ = static_cast<double>(n + 1) * ulp;
+}
+
+std::size_t TenantSampler::scan(double u) const {
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    u -= weights_[i];
+    if (u < 0.0) return i;
+  }
+  return weights_.size() - 1;
+}
+
+std::size_t TenantSampler::pick(double u) const {
+  const std::size_t n = prefix_.size();
+  const double x = u * bucket_scale_;
+  // An out-of-range or NaN bucket (n / total overflows for a subnormal
+  // total) falls to the last bucket; the walk below corrects any start.
+  std::size_t i =
+      guide_[x < static_cast<double>(n) ? static_cast<std::size_t>(x) : n - 1];
+  while (i > 0 && u < prefix_[i - 1]) --i;
+  while (i < n && u >= prefix_[i]) ++i;
+  if (i == n) return scan(u);
+  const double below = i == 0 ? 0.0 : prefix_[i - 1];
+  if (u - below <= band_ || prefix_[i] - u <= band_) return scan(u);
+  return i;
+}
+
 Trace generate_trace(std::vector<TenantWorkload> tenants, std::size_t length,
                      Rng& rng) {
-  CCC_REQUIRE(!tenants.empty(), "generate_trace needs at least one tenant");
-  double total_weight = 0.0;
+  std::vector<double> weights;
+  weights.reserve(tenants.size());
   for (const auto& tenant : tenants) {
     CCC_REQUIRE(tenant.pages != nullptr, "every tenant needs a generator");
-    CCC_REQUIRE(tenant.weight > 0.0, "tenant weights must be positive");
-    total_weight += tenant.weight;
+    weights.push_back(tenant.weight);
   }
+  const TenantSampler sampler(std::move(weights));
+  const double total_weight = sampler.total_weight();
 
   Trace trace(static_cast<std::uint32_t>(tenants.size()));
+  trace.reserve(length);
   for (std::size_t t = 0; t < length; ++t) {
-    double u = rng.next_double() * total_weight;
-    std::size_t chosen = tenants.size() - 1;
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      u -= tenants[i].weight;
-      if (u < 0.0) {
-        chosen = i;
-        break;
-      }
-    }
+    const std::size_t chosen = sampler.pick(rng.next_double() * total_weight);
     const auto tenant = static_cast<TenantId>(chosen);
     trace.append(tenant, make_page(tenant, tenants[chosen].pages->next(rng)));
   }

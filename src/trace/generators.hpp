@@ -9,6 +9,8 @@
 /// sequential scans, and shifting working sets — and a weighted interleaver
 /// mixes per-tenant streams into one shared-cache request sequence.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,11 +54,19 @@ class UniformPages final : public PageGenerator {
 };
 
 /// Zipf(s) over [0, num_pages): P(rank r) ∝ 1/(r+1)^s. Rank 0 is hottest.
-/// CDF inversion by binary search; exact, deterministic given the Rng.
+/// CDF inversion: a guide table of one entry per page (Chen–Asau) starts
+/// each draw next to its answer, and a short step finds the first cdf entry
+/// ≥ u — exactly what a binary search returns — in O(1) expected time.
 class ZipfPages final : public PageGenerator {
  public:
   ZipfPages(std::uint64_t num_pages, double skew);
   [[nodiscard]] std::uint64_t next(Rng& rng) override;
+  /// The rank a draw of u ∈ [0, 1) maps to: the first r with cdf()[r] ≥ u.
+  [[nodiscard]] std::uint64_t inverse_cdf(double u) const;
+  /// Cumulative probabilities by rank; the last entry is exactly 1.
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept {
+    return cdf_;
+  }
   [[nodiscard]] std::uint64_t universe() const noexcept override {
     return num_pages_;
   }
@@ -67,6 +77,8 @@ class ZipfPages final : public PageGenerator {
   std::uint64_t num_pages_;
   double skew_;
   std::vector<double> cdf_;
+  /// guide_[b] = first rank whose cdf entry is ≥ b / num_pages.
+  std::vector<std::uint32_t> guide_;
 };
 
 /// Cyclic sequential scan 0,1,...,n-1,0,1,... — the classic LRU-hostile
@@ -142,9 +154,42 @@ struct TenantWorkload {
   double weight = 1.0;
 };
 
+/// The tenant draw of `generate_trace`. It returns, for any u, exactly the
+/// tenant the sequential scan `u -= w_0; u -= w_1; ...` stops at (the first
+/// i where u falls below 0; the last tenant if none does), in O(1) expected
+/// time: a guide table over the prefix sums P_i = P_{i-1} + w_i starts the
+/// search next to the first i with u < P_i. That answer is the scan's unless
+/// u lies within the scan's accumulated rounding error, (n+1)·ulp(total), of
+/// a bucket edge P_{i-1} or P_i; there the scan itself runs.
+class TenantSampler {
+ public:
+  /// Requires at least one weight, each positive and finite, with a finite
+  /// sum.
+  explicit TenantSampler(std::vector<double> weights);
+
+  /// Σ w_i, summed in index order (that sum is P_{n-1}).
+  [[nodiscard]] double total_weight() const noexcept {
+    return prefix_.back();
+  }
+
+  /// The tenant the sequential scan picks for u (u ∈ [0, total_weight()]).
+  [[nodiscard]] std::size_t pick(double u) const;
+
+ private:
+  /// The literal scan: the exact answer inside the rounding band.
+  [[nodiscard]] std::size_t scan(double u) const;
+
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  ///< P_i, the scan's partial sums
+  /// guide_[b] = first i with P_i > b·total/n, over n buckets.
+  std::vector<std::uint32_t> guide_;
+  double bucket_scale_ = 0.0;  ///< n / total: u ↦ its bucket
+  double band_ = 0.0;          ///< (n+1)·ulp(total)
+};
+
 /// Interleaves per-tenant streams into a shared trace of `length` requests:
-/// each step samples a tenant proportionally to its weight, then draws a
-/// page from that tenant's generator.
+/// each step samples a tenant proportionally to its weight (`TenantSampler`),
+/// then draws a page from that tenant's generator.
 [[nodiscard]] Trace generate_trace(std::vector<TenantWorkload> tenants,
                                    std::size_t length, Rng& rng);
 

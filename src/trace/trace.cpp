@@ -12,7 +12,8 @@ Trace::Trace(std::uint32_t num_tenants) : num_tenants_(num_tenants) {
 
 void Trace::append(TenantId tenant, PageId page) {
   CCC_REQUIRE(tenant < num_tenants_, "tenant id out of range");
-  const auto [it, inserted] = owner_of_.emplace(page, tenant);
+  // try_emplace builds no node for a page seen before.
+  const auto [it, inserted] = owner_of_.try_emplace(page, tenant);
   CCC_REQUIRE(inserted || it->second == tenant,
               "page sets must be disjoint: page already owned by another "
               "tenant");

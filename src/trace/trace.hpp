@@ -23,6 +23,9 @@ class Trace {
   void append(TenantId tenant, PageId page);
   void append(const Request& r) { append(r.tenant, r.page); }
 
+  /// Reserves room for `n` requests in total.
+  void reserve(std::size_t n) { requests_.reserve(n); }
+
   [[nodiscard]] std::size_t size() const noexcept { return requests_.size(); }
   [[nodiscard]] bool empty() const noexcept { return requests_.empty(); }
   [[nodiscard]] std::uint32_t num_tenants() const noexcept {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "core/naive_convex_caching.hpp"
 #include "cost/combinators.hpp"
+#include "cost/exponential.hpp"
 #include "cost/monomial.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
@@ -261,6 +266,30 @@ TEST(ConvexCachingDiscrete, HandlesNonConvexStepCosts) {
   const SimResult result = run_trace(t, 4, policy, &costs);
   EXPECT_EQ(result.metrics.total_hits() + result.metrics.total_misses(),
             t.size());
+}
+
+TEST(ConvexCaching, RejectsNonFiniteMarginal) {
+  // f(x) = e^{0.05x} − 1: f'(m+1) overflows to inf after ~14 200 misses.
+  // The policy must name the overflow where the marginal enters, not run
+  // on with inf/NaN keys until its index looks empty.
+  const ExponentialCost f(1.0, 0.05);
+  std::uint64_t overflow_at = 0;
+  while (std::isfinite(f.derivative(static_cast<double>(overflow_at) + 1.0)))
+    ++overflow_at;
+  const Trace t = zipf_tenant_trace(1, 64, 0.9, 40'000, 1);
+  std::vector<CostFunctionPtr> costs;
+  costs.push_back(f.clone());
+  ConvexCachingPolicy policy;
+  try {
+    (void)run_trace(t, 12, policy, &costs);
+    FAIL() << "a non-finite marginal must be rejected";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tenant 0's marginal f'(m+1) is inf at m = " +
+                        std::to_string(overflow_at) + " evictions"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

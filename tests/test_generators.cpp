@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <string>
+#include <vector>
 
 namespace ccc {
 namespace {
@@ -186,6 +190,145 @@ TEST(MarkovPages, ValidatesParameters) {
   EXPECT_THROW(MarkovPages(8, 1.5, 1.0, 1), std::invalid_argument);
 }
 
+// ---- exactness of the O(1) draws ---------------------------------------
+
+// The oracle: the literal sequential scan the tenant draw must reproduce.
+std::size_t scan_pick(const std::vector<double>& weights, double u) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    u -= weights[i];
+    if (u < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+// x moved by `steps` representable doubles (negative steps move down).
+double ulps_away(double x, int steps) {
+  const double toward = steps < 0 ? -std::numeric_limits<double>::infinity()
+                                  : std::numeric_limits<double>::infinity();
+  for (int s = 0; s < std::abs(steps); ++s) x = std::nextafter(x, toward);
+  return x;
+}
+
+void expect_sampler_matches_scan(const std::vector<double>& weights) {
+  const TenantSampler sampler(weights);
+  double total = 0.0;
+  std::vector<double> prefix;
+  for (const double w : weights) prefix.push_back(total += w);
+  ASSERT_EQ(sampler.total_weight(), total);  // same sum, bit for bit
+
+  Rng rng(2024);
+  for (int d = 0; d < 100'000; ++d) {
+    const double u = rng.next_double() * total;
+    ASSERT_EQ(sampler.pick(u), scan_pick(weights, u)) << "u=" << u;
+  }
+  // Draws at and around every bucket edge land in the rounding band (or
+  // just outside it), where the answer must still be the scan's.
+  for (const double edge : prefix) {
+    for (int steps = -40; steps <= 40; ++steps) {
+      const double u = ulps_away(edge, steps);
+      if (u < 0.0 || u > total) continue;
+      ASSERT_EQ(sampler.pick(u), scan_pick(weights, u))
+          << "edge=" << edge << " steps=" << steps;
+    }
+  }
+  EXPECT_EQ(sampler.pick(0.0), scan_pick(weights, 0.0));
+  EXPECT_EQ(sampler.pick(total), scan_pick(weights, total));
+}
+
+TEST(TenantSampler, EqualWeightsMatchScan) {
+  expect_sampler_matches_scan(std::vector<double>(256, 1.0));
+  expect_sampler_matches_scan({1.0});
+}
+
+TEST(TenantSampler, IntegerWeightsMatchScan) {
+  expect_sampler_matches_scan({1.0, 2.0, 4.0});
+  std::vector<double> cycled;
+  for (int i = 0; i < 99; ++i) cycled.push_back(std::ldexp(1.0, i % 3));
+  expect_sampler_matches_scan(cycled);
+}
+
+TEST(TenantSampler, NonIntegerWeightsMatchScan) {
+  Rng rng(17);
+  std::vector<double> weights;
+  for (int i = 0; i < 200; ++i) weights.push_back(rng.next_double(0.1, 5.1));
+  expect_sampler_matches_scan(weights);
+}
+
+TEST(TenantSampler, WideExponentWeightsMatchScan) {
+  Rng rng(23);
+  std::vector<double> weights;
+  for (int i = 0; i < 64; ++i)
+    weights.push_back(std::ldexp(1.0 + rng.next_double(),
+                                 static_cast<int>(rng.next_int(-20, 19))));
+  weights.front() = std::ldexp(1.0, -20);
+  weights.back() = std::ldexp(1.0, 20);
+  expect_sampler_matches_scan(weights);
+}
+
+TEST(ZipfPages, InverseCdfIsLowerBound) {
+  const std::pair<std::uint64_t, double> shapes[] = {
+      {1, 0.5}, {3, 3.0}, {64, 0.9}, {64, 1.1}, {1000, 0.0}, {5000, 1.5}};
+  for (const auto& [pages, skew] : shapes) {
+    const ZipfPages gen(pages, skew);
+    const std::vector<double>& cdf = gen.cdf();
+    ASSERT_EQ(cdf.size(), pages);
+    ASSERT_EQ(cdf.back(), 1.0);
+    const auto lower_bound = [&cdf](double u) {
+      return static_cast<std::uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    };
+    Rng rng(pages);
+    for (int d = 0; d < 100'000; ++d) {
+      const double u = rng.next_double();
+      ASSERT_EQ(gen.inverse_cdf(u), lower_bound(u)) << "u=" << u;
+    }
+    for (const double c : cdf) {
+      for (int steps = -1; steps <= 1; ++steps) {
+        const double u = ulps_away(c, steps);
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(gen.inverse_cdf(u), lower_bound(u))
+            << "pages=" << pages << " u=" << u;
+      }
+    }
+    // next() is inverse_cdf of the draw.
+    Rng a(5), b(5);
+    ZipfPages drawing(pages, skew);
+    for (int d = 0; d < 1000; ++d)
+      ASSERT_EQ(drawing.next(a), gen.inverse_cdf(b.next_double()));
+  }
+}
+
+// FNV-1a over (tenant, page) per request.
+std::uint64_t trace_hash(const Trace& trace) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const Request& r : trace) {
+    h = (h ^ r.tenant) * 1099511628211ULL;
+    h = (h ^ r.page) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Hashes recorded from the sequential-scan / binary-search generator this
+// replaced: the O(1) draws must reproduce its traces bit for bit.
+TEST(GenerateTrace, GoldenHashesOfBenchmarkShapes) {
+  // The two benchmark shapes (256 tenants Zipf 0.9; 16 tenants Zipf 1.1).
+  EXPECT_EQ(trace_hash(zipf_tenant_trace(256, 64, 0.9, 4'500'000, 1)),
+            0x93a44bfba53ac3f5ULL);
+  EXPECT_EQ(trace_hash(zipf_tenant_trace(16, 64, 1.1, 2'500'000, 1)),
+            0x4152946d2340dca3ULL);
+}
+
+TEST(GenerateTrace, GoldenHashOfUnequalWeights) {
+  std::vector<TenantWorkload> tenants;
+  Rng weights(5);
+  for (int i = 0; i < 50; ++i)
+    tenants.push_back({std::make_unique<ZipfPages>(32, 0.7),
+                       0.1 + 5.0 * weights.next_double()});
+  Rng rng(3);
+  EXPECT_EQ(trace_hash(generate_trace(std::move(tenants), 200'000, rng)),
+            0x11f86cc7d63bc039ULL);
+}
+
 TEST(Generators, RejectBadParameters) {
   EXPECT_THROW(UniformPages(0), std::invalid_argument);
   EXPECT_THROW(ZipfPages(0, 1.0), std::invalid_argument);
@@ -197,6 +340,23 @@ TEST(Generators, RejectBadParameters) {
   EXPECT_THROW(WorkingSetPages(10, 5, 5, 1.5), std::invalid_argument);
   Rng rng(1);
   EXPECT_THROW((void)generate_trace({}, 10, rng), std::invalid_argument);
+  // Non-positive and non-finite weights, and weights whose sum overflows.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const std::vector<double>& weights :
+       {std::vector<double>{1.0, 0.0}, std::vector<double>{1.0, -2.0},
+        std::vector<double>{1.0, kInf},
+        std::vector<double>{std::numeric_limits<double>::quiet_NaN()},
+        std::vector<double>{kMax, kMax}}) {
+    std::vector<TenantWorkload> tenants;
+    for (const double w : weights)
+      tenants.push_back({std::make_unique<UniformPages>(4), w});
+    EXPECT_THROW((void)generate_trace(std::move(tenants), 10, rng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)TenantSampler(weights), std::invalid_argument);
+  }
+  EXPECT_THROW((void)TenantSampler(std::vector<double>{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ void ConvexCachingAuditor::violation(const std::string& check,
 
 void ConvexCachingAuditor::on_victim_chosen(const Request& /*request*/,
                                             PageId victim,
-                                            const CacheState& cache,
+                                            const CacheState& /*cache*/,
                                             ReplacementPolicy& policy,
                                             TimeStep time) {
   ++evictions_seen_;
@@ -93,7 +93,7 @@ void ConvexCachingAuditor::on_victim_chosen(const Request& /*request*/,
   if (evictions_seen_ % config_.eviction_cadence != 0) return;
   const ConvexCachingPolicy* ccp = resolve(policy);
   if (ccp == nullptr) return;
-  check_victim_minimality(*ccp, cache, victim, time);
+  check_victim_minimality(*ccp, victim, time);
 }
 
 void ConvexCachingAuditor::on_step(const StepEvent& event,
@@ -119,39 +119,39 @@ void ConvexCachingAuditor::on_run_end(const CacheState& /*cache*/,
 
 void ConvexCachingAuditor::audit_now(const ConvexCachingPolicy& policy,
                                      const CacheState& cache, TimeStep time) {
-  check_residency_agreement(policy, cache, time);
-  if (config_.check_budget_bounds) check_budget_bounds(policy, cache, time);
-  if (config_.check_index) check_index(policy, cache, time);
+  // The other checks index per-tenant state by each record's tenant.
+  if (!check_residency(policy, cache, time)) return;
+  if (config_.check_budget_bounds) check_budget_bounds(policy, time);
+  if (config_.check_index) check_index(policy, time);
 }
 
-void ConvexCachingAuditor::check_residency_agreement(
-    const ConvexCachingPolicy& policy, const CacheState& cache,
-    TimeStep time) {
-  if (policy.pages_.size() != cache.size())
+bool ConvexCachingAuditor::check_residency(const ConvexCachingPolicy& policy,
+                                           const CacheState& cache,
+                                           TimeStep time) {
+  const std::uint64_t before = report_.violations;
+  const CacheState& table = policy.residency_;
+  if (&cache != &table)
+    violation("residency", "the session reads a second residency table", time);
+  // Primal feasibility (1a): at most k pages resident.
+  if (table.size() > table.capacity())
     violation("residency",
-              "policy tracks " + std::to_string(policy.pages_.size()) +
-                  " pages, cache holds " + std::to_string(cache.size()),
+              std::to_string(table.size()) + " pages resident, k = " +
+                  std::to_string(table.capacity()),
               time);
-  for (const auto& [page, state] : policy.pages_) {
-    if (!cache.contains(page)) {
+  const std::size_t tenants = policy.evictions_.size();
+  for (const auto& [page, record] : table.pages())
+    if (record.tenant >= tenants)
       violation("residency",
-                "policy tracks non-resident page " + page_str(page), time);
-      continue;
-    }
-    if (cache.owner(page) != state.tenant)
-      violation("residency",
-                "page " + page_str(page) + " owner mismatch: policy says " +
-                    std::to_string(state.tenant) + ", cache says " +
-                    std::to_string(cache.owner(page)),
+                "page " + page_str(page) + " owned by tenant " +
+                    std::to_string(record.tenant),
                 time);
-  }
+  return report_.violations == before;
 }
 
 void ConvexCachingAuditor::check_budget_bounds(
-    const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
-    TimeStep time) {
+    const ConvexCachingPolicy& policy, TimeStep time) {
   const double tol = config_.tolerance;
-  for (const auto& [page, state] : policy.pages_) {
+  for (const auto& [page, state] : policy.residency_.pages()) {
     ++report_.budget_checks;
     const double eff = policy.effective(state.key, state.tenant);
     if (!std::isfinite(eff)) {
@@ -180,11 +180,11 @@ void ConvexCachingAuditor::check_budget_bounds(
 }
 
 void ConvexCachingAuditor::check_victim_minimality(
-    const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
-    PageId victim, TimeStep time) {
+    const ConvexCachingPolicy& policy, PageId victim, TimeStep time) {
   ++report_.victim_checks;
-  const auto victim_it = policy.pages_.find(victim);
-  if (victim_it == policy.pages_.end()) {
+  const auto& table = policy.residency_.pages();
+  const auto victim_it = table.find(victim);
+  if (victim_it == table.end()) {
     violation("victim-minimality",
               "victim " + page_str(victim) + " is not tracked as resident",
               time);
@@ -195,7 +195,7 @@ void ConvexCachingAuditor::check_victim_minimality(
   bool found = false;
   double best_eff = 0.0;
   PageId best_page = 0;
-  for (const auto& [page, state] : policy.pages_) {
+  for (const auto& [page, state] : table) {
     const double eff = policy.effective(state.key, state.tenant);
     if (!found || eff < best_eff || (eff == best_eff && page < best_page)) {
       found = true;
@@ -203,28 +203,24 @@ void ConvexCachingAuditor::check_victim_minimality(
       best_page = page;
     }
   }
+  const double victim_eff =
+      policy.effective(victim_it->second.key, victim_it->second.tenant);
   if (best_page != victim)
     violation("victim-minimality",
               "index chose page " + page_str(victim) + " (B=" +
-                  std::to_string(policy.effective(victim_it->second.key,
-                                                  victim_it->second.tenant)) +
+                  std::to_string(victim_eff) +
                   ") but the naive scan finds page " + page_str(best_page) +
                   " (B=" + std::to_string(best_eff) + ")",
               time);
   // Invariant (1c): y_t rises by B(victim), so B(victim) must be ≥ 0.
-  if (all_convex_ && policy.effective(victim_it->second.key,
-                                      victim_it->second.tenant) <
-                         -config_.tolerance)
+  if (all_convex_ && victim_eff < -config_.tolerance)
     violation("dual-nonnegativity",
               "eviction would raise y_t by the negative amount B(" +
-                  page_str(victim) + ") = " +
-                  std::to_string(policy.effective(victim_it->second.key,
-                                                  victim_it->second.tenant)),
+                  page_str(victim) + ") = " + std::to_string(victim_eff),
               time);
 }
 
 void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
-                                       const CacheState& /*cache*/,
                                        TimeStep time) {
   ++report_.index_checks;
   const double tol = config_.tolerance;
@@ -249,15 +245,16 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
   }
 
   const auto& entries = heap_container(policy.global_);
+  const auto& table = policy.residency_.pages();
   // Stale-fraction bound: dead postings are compacted 4:1, so the heap can
   // never grow unboundedly relative to the resident set.
   const std::size_t bound =
       std::max(ConvexCachingPolicy::kCompactionMinimum,
-               ConvexCachingPolicy::kCompactionFactor * policy.pages_.size());
+               ConvexCachingPolicy::kCompactionFactor * table.size());
   if (entries.size() > bound)
     violation("index-compaction",
               "global heap holds " + std::to_string(entries.size()) +
-                  " postings for " + std::to_string(policy.pages_.size()) +
+                  " postings for " + std::to_string(table.size()) +
                   " resident pages (bound " + std::to_string(bound) + ")",
               time);
 
@@ -270,13 +267,13 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
   // tolerance.
   std::unordered_map<PageId, double> min_score;
   for (const auto& entry : entries) {
-    const auto it = policy.pages_.find(entry.page);
-    if (it == policy.pages_.end() || it->second.tenant != entry.tenant)
+    const auto it = table.find(entry.page);
+    if (it == table.end() || it->second.tenant != entry.tenant)
       continue;  // dead posting — dropped lazily by the index, fine
     const auto [slot, inserted] = min_score.try_emplace(entry.page, entry.score);
     if (!inserted) slot->second = std::min(slot->second, entry.score);
   }
-  for (const auto& [page, state] : policy.pages_) {
+  for (const auto& [page, state] : table) {
     const double current = state.key + policy.tenant_bump_[state.tenant];
     const auto it = min_score.find(page);
     if (it == min_score.end() || it->second > current)

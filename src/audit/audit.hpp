@@ -19,15 +19,17 @@
 ///     and each eviction moves it down by B(victim) ≥ 0 relative to the
 ///     marginal. Both are skipped automatically for non-convex §2.5 costs,
 ///     where Fig. 3 gives no guarantee.
-///  4. **Eviction-index consistency**: the policy's resident-page table
-///     matches the simulator's cache; every resident page is covered by a
+///  4. **Residency**: the session reads the policy's own residency table
+///     (one table, no mirror), which holds at most k pages — primal
+///     feasibility (1a) — each owned by an in-range tenant.
+///  5. **Eviction-index consistency**: every resident page is covered by a
 ///     posting (same page and tenant) whose score does not over-estimate
 ///     `key + tenant bump` (the lazy-index invariant — postings may
 ///     under-estimate); global offset and per-tenant bumps are finite and
 ///     each tenant's cached re-freeze base equals `f'(m+1) − bump`; dead
 ///     postings stay within the compaction bound
 ///     `max(kCompactionMinimum, kCompactionFactor · live)`.
-///  5. **ALG-CONT shadow** (opt-in): the observed request stream is
+///  6. **ALG-CONT shadow** (opt-in): the observed request stream is
 ///     replayed through `run_alg_cont` at end of run and the full §2.3
 ///     certificate is verified by `check_invariants` (Lemma 2.1), plus an
 ///     optional per-tenant eviction-count comparison against the live
@@ -128,22 +130,19 @@ class ConvexCachingAuditor final : public PolicyAuditor {
   void audit_now(const ConvexCachingPolicy& policy, const CacheState& cache,
                  TimeStep time);
 
-  /// Individual checks (audit_now composes them; public for tests).
-  void check_budget_bounds(const ConvexCachingPolicy& policy,
-                           const CacheState& cache, TimeStep time);
-  void check_victim_minimality(const ConvexCachingPolicy& policy,
-                               const CacheState& cache, PageId victim,
-                               TimeStep time);
-  void check_index(const ConvexCachingPolicy& policy, const CacheState& cache,
-                   TimeStep time);
-
  private:
   [[nodiscard]] const ConvexCachingPolicy* resolve(
       ReplacementPolicy& policy) const;
   void violation(const std::string& check, const std::string& detail,
                  TimeStep time);
-  void check_residency_agreement(const ConvexCachingPolicy& policy,
-                                 const CacheState& cache, TimeStep time);
+  // The individual checks audit_now composes. They read the policy's own
+  // table, which check_residency (false when it fired) proves is `cache`.
+  bool check_residency(const ConvexCachingPolicy& policy,
+                       const CacheState& cache, TimeStep time);
+  void check_budget_bounds(const ConvexCachingPolicy& policy, TimeStep time);
+  void check_victim_minimality(const ConvexCachingPolicy& policy,
+                               PageId victim, TimeStep time);
+  void check_index(const ConvexCachingPolicy& policy, TimeStep time);
   void shadow_check(ReplacementPolicy& policy);
 
   AuditConfig config_;

@@ -44,8 +44,7 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   // dangles the moment the arena resets), then recycle the blocks.
   global_ = empty_heap();
   index_arena_.reset();
-  pages_.clear();
-  pages_.reserve(ctx.capacity);
+  residency_ = CacheState(ctx.capacity);
   last_evict_moved_offset_ = false;
   last_evict_refreshed_tenant_ = false;
   current_window_ = 0;
@@ -62,10 +61,10 @@ void ConvexCachingPolicy::rebuild_index() {
   global_ = empty_heap();
   index_arena_.reset();
   IndexVector entries(index_alloc());
-  entries.reserve(pages_.size());
-  for (const auto& [page, state] : pages_)
-    entries.push_back(
-        IndexEntry{state.key + tenant_bump_[state.tenant], page, state.tenant});
+  entries.reserve(residency_.size());
+  for (const auto& [page, record] : residency_.pages())
+    entries.push_back(IndexEntry{record.key + tenant_bump_[record.tenant],
+                                 page, record.tenant});
   global_ = GlobalHeap(std::greater<IndexEntry>{}, std::move(entries));
 }
 
@@ -88,14 +87,15 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
   // indirect call per resident page.
   for (TenantId t = 0; t < refreeze_.size(); ++t)
     refresh_refreeze(t, next_marginal(t));
+  util::FlatMap<Resident>& table = residency_.pages();
   const double* marginal = refreeze_.data();
-  const std::uint64_t* keys = pages_.key_data();
-  PageState* vals = pages_.value_data();
-  const std::size_t slots = refreeze_.empty() ? 0 : pages_.slot_count();
+  const std::uint64_t* keys = table.key_data();
+  Resident* vals = table.value_data();
+  const std::size_t slots = refreeze_.empty() ? 0 : table.slot_count();
   for (std::size_t i = 0; i < slots; ++i) {
     // Dead slots select index 0 and write their own key back, keeping the
     // loop body branch-free (a dead slot's tenant field may be stale).
-    const bool live = keys[i] != util::FlatMap<PageState>::kEmptyKey;
+    const bool live = keys[i] != util::FlatMap<Resident>::kEmptyKey;
     const std::size_t t = live ? vals[i].tenant : 0;
     vals[i].key = live ? marginal[t] : vals[i].key;
   }
@@ -124,7 +124,7 @@ void ConvexCachingPolicy::push_global(PageId page, TenantId tenant,
 
 void ConvexCachingPolicy::maybe_compact() {
   if (global_.size() < kCompactionMinimum) return;
-  if (global_.size() <= kCompactionFactor * pages_.size()) return;
+  if (global_.size() <= kCompactionFactor * residency_.size()) return;
   rebuild_index();
 }
 
@@ -133,8 +133,9 @@ void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
   // Fig. 3, first bullet: refresh B(p_t) on every access — frozen against
   // the current offsets, so the key only moves when they did.
   const double key = refreeze_key(request.tenant);
-  const auto it = pages_.find(request.page);
-  CCC_CHECK(it != pages_.end(), "ConvexCaching hit on an untracked page");
+  const auto it = residency_.pages().find(request.page);
+  CCC_CHECK(it != residency_.pages().end(),
+            "ConvexCaching hit on an untracked page");
   double& stored = it->second.key;
   if (key == stored) return;
   const bool fell = key < stored;
@@ -162,8 +163,8 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
   // score equals its page's current score.
   while (!global_.empty()) {
     const IndexEntry top = global_.top();
-    const auto it = pages_.find(top.page);
-    if (it != pages_.end() && it->second.tenant == top.tenant) {
+    const auto it = residency_.pages().find(top.page);
+    if (it != residency_.pages().end() && it->second.tenant == top.tenant) {
       const double key = it->second.key;
       const double score = key + tenant_bump_[top.tenant];
       if (score == top.score) return top.page;
@@ -189,15 +190,12 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
 
 void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
                                    TimeStep /*time*/) {
-  const auto it = pages_.find(victim);
-  CCC_CHECK(it != pages_.end(), "ConvexCaching evicting an untracked page");
-  const double victim_budget = effective(it->second.key, owner);
+  const double victim_budget = effective(residency_.erase(victim).key, owner);
   // The dual variable y_t of ALG-CONT rises by exactly B(victim) at this
   // eviction (DESIGN.md §13); bank it against the victim's owner so the
   // cost tracker can assemble its online lower bound without re-walking
   // any state. One add — hits never reach this path.
   dual_mass_[owner] += victim_budget;
-  pages_.erase(it);
 
   // Fig. 3: debit every surviving page by B(p) — one offset update. A
   // zero victim budget leaves the offset bit-identical, so survivors'
@@ -208,6 +206,10 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
     offset_ += victim_budget;
     last_evict_moved_offset_ = victim_budget != 0.0;
   }
+  // Keys freeze against the offset, and Σ B(victim) outgrows f' itself.
+  CCC_CHECK(std::isfinite(victim_budget) && std::isfinite(offset_),
+            "the survivor debit overflowed at eviction " +
+                std::to_string(counters_.evictions));
 
   // The victim's tenant just incurred a miss: m(owner) grows, and the
   // marginal of its *next* miss moves from f'(m+1) to f'(m+2).
@@ -239,14 +241,15 @@ void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
   // same step, so the new page is exempt from this step's debit — exactly
   // the "p' ∉ {p, p_t}" exclusion. A new page needs its own posting.
   const double key = refreeze_key(request.tenant);
-  pages_[request.page] = PageState{key, request.tenant};
+  residency_.insert(request.page, request.tenant, key);
   push_global(request.page, request.tenant, key);
   maybe_compact();
 }
 
 double ConvexCachingPolicy::budget(PageId page) const {
-  const auto it = pages_.find(page);
-  CCC_REQUIRE(it != pages_.end(), "budget() of a non-resident page");
+  const auto it = residency_.pages().find(page);
+  CCC_REQUIRE(it != residency_.pages().end(),
+              "budget() of a non-resident page");
   return effective(it->second.key, it->second.tenant);
 }
 

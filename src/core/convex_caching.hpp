@@ -54,7 +54,6 @@
 
 #include "sim/policy.hpp"
 #include "util/arena.hpp"
-#include "util/flat_map.hpp"
 
 namespace ccc {
 
@@ -105,6 +104,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   [[nodiscard]] PerfCounters perf_counters() const override {
     return counters_;
   }
+  [[nodiscard]] CacheState* residency() override { return &residency_; }
 
   /// Effective budget of a resident page (test/diagnostic hook).
   [[nodiscard]] double budget(PageId page) const;
@@ -237,7 +237,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// FP-ulp refreshes) or postings of re-inserted pages pile up.
   void maybe_compact();
 
-  /// Rebuilds the global heap from the resident set `pages_` at current
+  /// Rebuilds the global heap from the resident set at current
   /// scores: compaction, window rollover and the non-convex repair (a
   /// tenant's bump *decreased*, so its postings over-estimate).
   void rebuild_index();
@@ -248,12 +248,6 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
 
   ConvexCachingOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;
-
-  /// Frozen key + owner of a resident page (one hash lookup on hot paths).
-  struct PageState {
-    double key;
-    TenantId tenant;
-  };
 
   double offset_ = 0.0;                  ///< cumulative global debit
   std::vector<double> tenant_bump_;      ///< cumulative per-tenant bumps
@@ -268,7 +262,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// One heap, all tenants (arena-backed — see IndexVector).
   GlobalHeap global_{std::greater<IndexEntry>{},
                      IndexVector(IndexAlloc(&index_arena_))};
-  util::FlatMap<PageState> pages_;       ///< resident pages (flat, SoA)
+  CacheState residency_{1};  ///< owner + frozen key; sized by reset()
   bool last_evict_moved_offset_ = false;
   bool last_evict_refreshed_tenant_ = false;
   std::size_t current_window_ = 0;

@@ -12,14 +12,20 @@ ExponentialCost::ExponentialCost(double a, double b) : a_(a), b_(b) {
   CCC_REQUIRE(b > 0.0, "ExponentialCost requires b > 0");
 }
 
+// A coefficient below 1 lets e^{bx} overflow before the product; then the
+// coefficient moves into the exponent (expm1's −1 is below one ulp there).
+
 double ExponentialCost::value(double x) const {
   CCC_REQUIRE(x >= 0.0, "cost functions are defined on x >= 0");
-  return a_ * std::expm1(b_ * x);
+  const double direct = a_ * std::expm1(b_ * x);
+  return std::isfinite(direct) ? direct : std::exp(b_ * x + std::log(a_));
 }
 
 double ExponentialCost::derivative(double x) const {
   CCC_REQUIRE(x >= 0.0, "cost functions are defined on x >= 0");
-  return a_ * b_ * std::exp(b_ * x);
+  const double direct = a_ * b_ * std::exp(b_ * x);
+  return std::isfinite(direct) ? direct
+                               : std::exp(b_ * x + std::log(a_ * b_));
 }
 
 double ExponentialCost::alpha(double x_max) const {

@@ -8,9 +8,10 @@
 /// Landlord is ALG-DISCRETE (Fig. 3) at β = 1: with a linear cost
 /// f_i(x) = w_i·x the next-miss marginal is the constant w_i and the
 /// victim-tenant bump is zero, so the budget *is* the credit. This class
-/// therefore owns no index of its own: reset() builds MonomialCost(1, w_i)
-/// per tenant and forwards every call to a ConvexCachingPolicy over those
-/// costs. It inherits that engine's contract — bit-identical to a
+/// therefore owns no index or table of its own: reset() builds
+/// MonomialCost(1, w_i) per tenant and forwards every call — residency()
+/// too — to a ConvexCachingPolicy over those costs. It inherits that
+/// engine's contract — bit-identical to a
 /// dedicated credit index on integer-valued weights; on fractional weights
 /// the folded offset update (offset += key − offset rather than
 /// offset = key) may round differently in the last bit.
@@ -53,6 +54,7 @@ class LandlordPolicy final : public ReplacementPolicy {
   [[nodiscard]] PerfCounters perf_counters() const override {
     return engine_.perf_counters();
   }
+  [[nodiscard]] CacheState* residency() override { return engine_.residency(); }
 
  private:
   std::vector<double> configured_weights_;

@@ -463,14 +463,4 @@ void ShardedCache::rebalance() {
         static_cast<std::uint64_t>(seconds_since(start) * 1e9));
 }
 
-// Analysis opt-out: hands out an unlocked reference to guarded state.
-// Documented escape hatch for tests/diagnostics only — the header warns
-// callers not to race a concurrent replay, and every in-tree use inspects
-// a quiescent cache.
-const SimulatorSession& ShardedCache::shard_session(std::size_t shard) const
-    CCC_NO_THREAD_SAFETY_ANALYSIS {
-  CCC_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return *shards_[shard]->session;
-}
-
 }  // namespace ccc

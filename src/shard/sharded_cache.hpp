@@ -229,10 +229,6 @@ class ShardedCache {
   /// it mildly stale — harmless, the next rebalance catches up.
   void rebalance();
 
-  /// Read-only view of one shard's session (tests / diagnostics; take care
-  /// not to race a concurrent replay).
-  [[nodiscard]] const SimulatorSession& shard_session(std::size_t shard) const;
-
  private:
   struct Shard {
     /// Policy and session state is mutated only under `mutex` — the

@@ -12,18 +12,21 @@ CacheState::CacheState(std::size_t capacity) : capacity_(capacity) {
 TenantId CacheState::owner(PageId page) const {
   const auto it = resident_.find(page);
   CCC_REQUIRE(it != resident_.end(), "page is not resident");
-  return it->second;
+  return it->second.tenant;
 }
 
-void CacheState::insert(PageId page, TenantId tenant) {
+void CacheState::insert(PageId page, TenantId tenant, double key) {
   CCC_REQUIRE(!full(), "inserting into a full cache — evict first");
   CCC_REQUIRE(!resident_.contains(page), "page is already resident");
-  resident_.insert_or_assign(page, tenant);
+  resident_.insert_or_assign(page, Resident{key, tenant});
 }
 
-void CacheState::erase(PageId page) {
-  const auto erased = resident_.erase(page);
-  CCC_REQUIRE(erased == 1, "evicting a page that is not resident");
+Resident CacheState::erase(PageId page) {
+  const auto it = resident_.find(page);
+  CCC_REQUIRE(it != resident_.end(), "evicting a page that is not resident");
+  const Resident record = it->second;
+  resident_.erase(it);
+  return record;
 }
 
 void CacheState::set_capacity(std::size_t capacity) {

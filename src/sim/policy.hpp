@@ -2,11 +2,11 @@
 /// \file policy.hpp
 /// \brief The replacement-policy interface driven by the simulator.
 ///
-/// The simulator owns the cache state and the request loop; a policy only
-/// decides *which resident page to evict* when the cache is full and a
-/// non-resident page is requested, and observes hits/insertions/evictions
-/// to maintain its internal metadata. Offline policies (Belady, the batch
-/// balancer) additionally receive the full trace via preview().
+/// The simulator owns the request loop; a policy only decides *which
+/// resident page to evict* when the cache is full and a non-resident page
+/// is requested, and observes hits/insertions/evictions to maintain its
+/// internal metadata (and, via residency(), maybe the cache itself).
+/// Offline policies additionally receive the full trace via preview().
 
 #include <functional>
 #include <memory>
@@ -78,6 +78,11 @@ class ReplacementPolicy {
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// The policy's own per-page table, if it keeps one. The session asks
+  /// once, after reset(), and then reads it as the cache, leaving inserts
+  /// and erases to on_insert/on_evict; null lets the session keep its own.
+  [[nodiscard]] virtual CacheState* residency() { return nullptr; }
 
   /// Index-work counters accumulated since reset(). Policies with internal
   /// heaps (ConvexCaching, Landlord, …) report pops/stale skips/rebuilds;

@@ -12,8 +12,9 @@ SimulatorSession::SimulatorSession(std::size_t capacity,
                                    ReplacementPolicy& policy,
                                    const std::vector<CostFunctionPtr>* costs,
                                    SimOptions options)
-    : cache_(capacity), metrics_(num_tenants), policy_(policy),
-      auditor_(options.auditor), observer_(options.step_observer) {
+    : metrics_(num_tenants), policy_(policy), auditor_(options.auditor),
+      observer_(options.step_observer) {
+  CCC_REQUIRE(capacity > 0, "cache capacity must be positive");
   if (costs != nullptr)
     CCC_REQUIRE(costs->size() >= num_tenants,
                 "need one cost function per tenant");
@@ -28,6 +29,9 @@ SimulatorSession::SimulatorSession(std::size_t capacity,
   ctx.costs = costs;
   ctx.seed = options.seed;
   policy_.reset(ctx);
+  cache_ = policy_.residency();
+  if (cache_ == nullptr)
+    cache_ = (own_cache_ = std::make_unique<CacheState>(capacity)).get();
   if (auditor_ != nullptr) auditor_->on_reset(ctx);
 }
 
@@ -75,35 +79,35 @@ StepEvent SimulatorSession::step_impl(const Request& request) {
   StepEvent event;
   event.request = request;
 
-  if (cache_.contains(request.page)) {
+  if (cache_->contains(request.page)) {
     event.hit = true;
     metrics_.record_hit(request.tenant);
     policy_.on_hit(request, time_);
   } else {
     metrics_.record_miss(request.tenant);
     std::optional<PageId> victim;
-    if (cache_.full())
+    if (cache_->full())
       victim = policy_.choose_victim(request, time_);
     else
       victim = policy_.quota_victim(request, time_);
     if (victim.has_value()) {
-      CCC_CHECK(cache_.contains(*victim),
+      CCC_CHECK(cache_->contains(*victim),
                 "policy chose a non-resident victim");
       if (auditor_ != nullptr)
-        auditor_->on_victim_chosen(request, *victim, cache_, policy_, time_);
+        auditor_->on_victim_chosen(request, *victim, *cache_, policy_, time_);
       event.victim = victim;
       event.victim_owner = evict(*victim);
     }
-    cache_.insert(request.page, request.tenant);
+    if (own_cache_) cache_->insert(request.page, request.tenant);
     policy_.on_insert(request, time_);
   }
-  if (auditor_ != nullptr) auditor_->on_step(event, cache_, policy_, time_);
+  if (auditor_ != nullptr) auditor_->on_step(event, *cache_, policy_, time_);
   ++time_;
   return event;
 }
 
 void SimulatorSession::end_run() {
-  if (auditor_ != nullptr) auditor_->on_run_end(cache_, policy_);
+  if (auditor_ != nullptr) auditor_->on_run_end(*cache_, policy_);
 }
 
 PerfCounters SimulatorSession::perf_counters() const {
@@ -114,18 +118,18 @@ PerfCounters SimulatorSession::perf_counters() const {
 }
 
 TenantId SimulatorSession::evict(PageId page) {
-  const TenantId owner = cache_.owner(page);
-  cache_.erase(page);
+  const TenantId owner = cache_->owner(page);
+  if (own_cache_) cache_->erase(page);
   metrics_.record_eviction(owner);
   policy_.on_evict(page, owner, time_);
   return owner;
 }
 
 void SimulatorSession::resize(std::size_t new_capacity) {
-  cache_.set_capacity(new_capacity);
-  while (cache_.size() > new_capacity) {
+  cache_->set_capacity(new_capacity);
+  while (cache_->size() > new_capacity) {
     const PageId victim = policy_.choose_victim(Request{0, 0}, time_);
-    CCC_CHECK(cache_.contains(victim), "policy chose a non-resident victim");
+    CCC_CHECK(cache_->contains(victim), "policy chose a non-resident victim");
     evict(victim);
   }
 }

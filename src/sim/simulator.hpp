@@ -7,6 +7,7 @@
 ///        convex-program evaluator.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -150,7 +151,8 @@ class SimulatorSession {
   /// Evictions performed here are recorded in the metrics like any other.
   void resize(std::size_t new_capacity);
 
-  [[nodiscard]] const CacheState& cache() const noexcept { return cache_; }
+  /// The policy's residency() table when it keeps one, else the session's.
+  [[nodiscard]] const CacheState& cache() const noexcept { return *cache_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] TimeStep now() const noexcept { return time_; }
 
@@ -170,7 +172,9 @@ class SimulatorSession {
   /// the policy; returns the owner. Every eviction path goes through here.
   TenantId evict(PageId page);
 
-  CacheState cache_;
+  /// Only for policies without residency(); then the session writes it.
+  std::unique_ptr<CacheState> own_cache_;
+  CacheState* cache_ = nullptr;  ///< the one table every probe reads
   Metrics metrics_;
   ReplacementPolicy& policy_;
   PolicyAuditor* auditor_ = nullptr;

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -50,15 +49,11 @@ namespace ccc::util {
   return x ^ (x >> 31);
 }
 
-/// `Alloc` (a std-compatible allocator for Value, rebound internally for
-/// the key array) defaults to the global heap; policies that must not
-/// allocate on their steady-state path back it with util::ArenaAllocator.
-template <typename Value, typename Alloc = std::allocator<Value>>
+template <typename Value>
 class FlatMap {
  public:
   using key_type = std::uint64_t;
   using mapped_type = Value;
-  using allocator_type = Alloc;
 
   /// Reserved slot marker; never a valid key.
   static constexpr key_type kEmptyKey = ~key_type{0};
@@ -135,11 +130,6 @@ class FlatMap {
  public:
   using iterator = Iter<false>;
   using const_iterator = Iter<true>;
-
-  FlatMap() = default;
-  /// Stateful-allocator construction (e.g. over a util::Arena).
-  explicit FlatMap(const Alloc& alloc)
-      : keys_(KeyAlloc(alloc)), values_(alloc) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -314,8 +304,8 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_capacity) {
-    KeyVector old_keys = std::move(keys_);
-    ValueVector old_values = std::move(values_);
+    std::vector<key_type> old_keys = std::move(keys_);
+    std::vector<Value> old_values = std::move(values_);
     keys_.assign(new_capacity, kEmptyKey);
     values_.assign(new_capacity, Value{});
     mask_ = new_capacity - 1;
@@ -330,13 +320,8 @@ class FlatMap {
     }
   }
 
-  using KeyAlloc =
-      typename std::allocator_traits<Alloc>::template rebind_alloc<key_type>;
-  using KeyVector = std::vector<key_type, KeyAlloc>;
-  using ValueVector = std::vector<Value, Alloc>;
-
-  KeyVector keys_;
-  ValueVector values_;
+  std::vector<key_type> keys_;
+  std::vector<Value> values_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
 };

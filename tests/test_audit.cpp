@@ -43,14 +43,17 @@ struct AuditTestPeer {
     p.tenant_bump_[tenant] += delta;
   }
   static void shift_key(ConvexCachingPolicy& p, PageId page, double delta) {
-    p.pages_.at(page).key += delta;
+    p.residency_.pages().at(page).key += delta;
   }
   static void add_tenant_evictions(ConvexCachingPolicy& p, TenantId tenant,
                                    std::uint64_t delta) {
     p.evictions_[tenant] += delta;
   }
-  static void drop_page_tracking(ConvexCachingPolicy& p, PageId page) {
-    p.pages_.erase(page);
+  static void shrink_capacity(ConvexCachingPolicy& p, std::size_t capacity) {
+    p.residency_.set_capacity(capacity);
+  }
+  static void set_owner(ConvexCachingPolicy& p, PageId page, TenantId tenant) {
+    p.residency_.pages().at(page).tenant = tenant;
   }
   static void clear_global_heap(ConvexCachingPolicy& p) {
     p.global_ = p.empty_heap();
@@ -350,7 +353,7 @@ TEST(AuditMutation, BumpShrinkBreaksLazySoundness) {
   // all over-estimate — exactly the corruption lazy invalidation cannot
   // repair (the policy handles real shrinkage with an index rebuild). Target
   // a tenant that actually owns a resident page.
-  const TenantId tenant = rig.session.cache().pages().begin()->second;
+  const TenantId tenant = rig.session.cache().pages().begin()->second.tenant;
   AuditTestPeer::shift_bump(rig.policy, tenant, -3.0);
   rig.audit_now();
   EXPECT_TRUE(fired(rig.auditor.report(), "index-soundness"))
@@ -373,13 +376,55 @@ TEST(AuditMutation, FloodedHeapViolatesCompactionBound) {
       << rig.auditor.report().summary();
 }
 
-TEST(AuditMutation, UntrackedPageBreaksResidencyAgreement) {
+TEST(AuditMutation, OverfullTableBreaksResidencyFeasibility) {
   Rig rig;
-  const PageId page = rig.session.cache().pages().begin()->first;
-  AuditTestPeer::drop_page_tracking(rig.policy, page);
+  // More resident pages than capacity: primal feasibility (1a) fails.
+  AuditTestPeer::shrink_capacity(rig.policy, 1);
   rig.audit_now();
   EXPECT_TRUE(fired(rig.auditor.report(), "residency"))
       << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, OutOfRangeOwnerBreaksResidency) {
+  Rig rig;
+  // A record naming a tenant the run does not have: every per-tenant
+  // lookup by that record would read out of bounds, so the audit stops at
+  // the residency check.
+  const PageId page = rig.session.cache().pages().begin()->first;
+  AuditTestPeer::set_owner(rig.policy, page, 7);
+  rig.audit_now();
+  EXPECT_TRUE(fired(rig.auditor.report(), "residency"))
+      << rig.auditor.report().summary();
+  EXPECT_EQ(rig.auditor.report().violations, 1u)
+      << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, ForeignTableBreaksResidency) {
+  Rig rig;
+  // The session must read the policy's table, not a second copy.
+  CacheState mirror(4);
+  for (const auto& [page, record] : rig.session.cache().pages())
+    mirror.insert(page, record.tenant, record.key);
+  rig.auditor.audit_now(rig.policy, mirror, rig.session.now());
+  EXPECT_TRUE(fired(rig.auditor.report(), "residency"))
+      << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, NonFiniteKeyBreaksBudgetBounds) {
+  Rig rig;
+  const PageId page = rig.session.cache().pages().begin()->first;
+  AuditTestPeer::shift_key(rig.policy, page,
+                           std::numeric_limits<double>::quiet_NaN());
+  rig.audit_now();
+  const AuditReport& report = rig.auditor.report();
+  EXPECT_TRUE(std::any_of(
+      report.failures.begin(), report.failures.end(),
+      [&](const AuditViolation& v) {
+        return v.check == "budget-bounds" &&
+               v.detail == "non-finite budget for page " +
+                               std::to_string(page);
+      }))
+      << report.summary();
 }
 
 TEST(AuditMutation, NonFiniteOffsetIsFlaggedDirectly) {
@@ -470,6 +515,7 @@ class WrongVictimPolicy final : public ReplacementPolicy {
     inner_.on_insert(request, time);
   }
   [[nodiscard]] std::string name() const override { return "wrong-victim"; }
+  [[nodiscard]] CacheState* residency() override { return inner_.residency(); }
 
  private:
   ConvexCachingPolicy inner_;

@@ -60,8 +60,20 @@ TEST(CacheState, PagesExposesOwners) {
   cache.insert(2, 1);
   const auto& pages = cache.pages();
   EXPECT_EQ(pages.size(), 2u);
-  EXPECT_EQ(pages.at(1), 0u);
-  EXPECT_EQ(pages.at(2), 1u);
+  EXPECT_EQ(pages.at(1).tenant, 0u);
+  EXPECT_EQ(pages.at(2).tenant, 1u);
+}
+
+TEST(CacheState, RecordsCarryTheOwnersKey) {
+  CacheState cache(2);
+  cache.insert(1, 0, 2.5);
+  cache.insert(2, 1);
+  EXPECT_EQ(cache.pages().at(1).key, 2.5);
+  EXPECT_EQ(cache.pages().at(2).key, 0.0);
+  const Resident erased = cache.erase(1);
+  EXPECT_EQ(erased.key, 2.5);
+  EXPECT_EQ(erased.tenant, 0u);
+  EXPECT_FALSE(cache.contains(1));
 }
 
 }  // namespace

@@ -269,9 +269,11 @@ TEST(ConvexCachingDiscrete, HandlesNonConvexStepCosts) {
 }
 
 TEST(ConvexCaching, RejectsNonFiniteMarginal) {
-  // f(x) = e^{0.05x} − 1: f'(m+1) overflows to inf after ~14 200 misses.
-  // The policy must name the overflow where the marginal enters, not run
-  // on with inf/NaN keys until its index looks empty.
+  // f(x) = e^{0.05x} − 1: f'(m+1) = 0.05·e^{0.05(m+1)} overflows to inf
+  // after ~14 255 misses. The policy must name the overflow where the
+  // marginal enters, not run on with inf/NaN keys until its index looks
+  // empty. Without the survivor debit the marginal is the first value to
+  // overflow (the debited run overflows its offset first — next test).
   const ExponentialCost f(1.0, 0.05);
   std::uint64_t overflow_at = 0;
   while (std::isfinite(f.derivative(static_cast<double>(overflow_at) + 1.0)))
@@ -279,7 +281,9 @@ TEST(ConvexCaching, RejectsNonFiniteMarginal) {
   const Trace t = zipf_tenant_trace(1, 64, 0.9, 40'000, 1);
   std::vector<CostFunctionPtr> costs;
   costs.push_back(f.clone());
-  ConvexCachingPolicy policy;
+  ConvexCachingOptions no_debit;
+  no_debit.debit_survivors = false;
+  ConvexCachingPolicy policy(no_debit);
   try {
     (void)run_trace(t, 12, policy, &costs);
     FAIL() << "a non-finite marginal must be rejected";
@@ -290,6 +294,29 @@ TEST(ConvexCaching, RejectsNonFiniteMarginal) {
               std::string::npos)
         << what;
   }
+}
+
+TEST(ConvexCaching, RejectsOverflowingSurvivorDebit) {
+  // With the debit on, the offset sums every victim budget — about
+  // f'(m)/(1 − e^{−0.05}) ≈ 20·f'(m) here — so it overflows some 60 misses
+  // before f' does. That must be named at the eviction that overflows,
+  // not surface later as an index that looks empty.
+  const ExponentialCost f(1.0, 0.05);
+  const Trace t = zipf_tenant_trace(1, 64, 0.9, 40'000, 1);
+  std::vector<CostFunctionPtr> costs;
+  costs.push_back(f.clone());
+  ConvexCachingPolicy policy;
+  try {
+    (void)run_trace(t, 12, policy, &costs);
+    FAIL() << "an overflowing debit must be rejected";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("the survivor debit overflowed at eviction"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_TRUE(std::isfinite(f.derivative(
+      static_cast<double>(policy.tenant_evictions()[0]) + 1.0)));
 }
 
 }  // namespace

@@ -118,6 +118,26 @@ TEST(ExponentialCost, ValuesAndAlpha) {
   EXPECT_NEAR(estimate_alpha(f, 100.0), f.alpha(100.0), 0.2);
 }
 
+TEST(ExponentialCost, StaysFiniteWhileTheCostIsRepresentable) {
+  // a·b·e^{bx} with a·b < 1: e^{bx} overflows at bx ≈ 709.8 while the
+  // derivative itself stays finite until bx ≈ 712.8.
+  const ExponentialCost f(1.0, 0.05);
+  const double d = f.derivative(14'200.0);
+  ASSERT_TRUE(std::isfinite(d));
+  const long double exact =
+      0.05L * std::exp(static_cast<long double>(0.05) * 14'200.0L);
+  EXPECT_NEAR(d / static_cast<double>(exact), 1.0, 1e-12);
+  // The same for the value with a < 1, and bit-identical where the direct
+  // form was already finite.
+  const ExponentialCost g(0.01, 1.0);
+  const double v = g.value(712.0);
+  ASSERT_TRUE(std::isfinite(v));
+  EXPECT_NEAR(v / static_cast<double>(0.01L * std::exp(712.0L)), 1.0, 1e-12);
+  EXPECT_EQ(f.derivative(100.0), 1.0 * 0.05 * std::exp(0.05 * 100.0));
+  EXPECT_EQ(g.value(3.0), 0.01 * std::expm1(3.0));
+  EXPECT_FALSE(std::isfinite(f.derivative(15'000.0)));
+}
+
 TEST(StepCost, DiscreteMarginals) {
   const StepCost f(3.0, 10.0);  // jumps at 3, 6, 9, ...
   EXPECT_DOUBLE_EQ(f.value(2.9), 0.0);

@@ -2,14 +2,20 @@
 // randomized differential replay against the literal Fig. 3 transcription
 // (NaiveConvexCachingPolicy), tie-breaking, window-rollover rebuilds,
 // the rebuild repair for non-convex costs, Landlord as Fig. 3 at β = 1,
-// compaction, the hit path (no push unless a key falls), and the perf
-// counters surfaced through SimResult.
+// the one residency table (session vs standalone replay), compaction, the
+// hit path (no push unless a key falls), and the perf counters surfaced
+// through SimResult.
 //
-// Every differential here uses integer-valued marginals, so both
-// implementations compute budgets exactly in floating point and victim
-// sequences must match bit for bit.
+// Every differential against the naive oracle uses integer-valued
+// marginals, so both implementations compute budgets exactly in floating
+// point and victim sequences must match bit for bit. The session-vs-
+// standalone replay runs one implementation twice and needs no such
+// restriction.
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,6 +203,195 @@ TEST(EvictionIndexDifferential, LandlordMatchesNaiveFig3AtBetaOne) {
 }
 
 // ---------------------------------------------------------------------------
+// One residency table: under a session the policy's table is the cache. The
+// same policy driven standalone — residency in the caller's own bitmap, the
+// way perfbench's policy rung drives it — must make the same decisions and
+// keep the same per-tenant books, through a shrink and invalidations too.
+
+/// Drives a policy without a session: an external bitmap decides hits and
+/// when to evict; the policy keeps its own table to itself.
+class BitmapDriver {
+ public:
+  BitmapDriver(ReplacementPolicy& policy, std::size_t capacity,
+               std::uint32_t tenants, std::uint64_t pages_per_tenant,
+               const std::vector<CostFunctionPtr>* costs)
+      : metrics(tenants),
+        policy_(policy),
+        capacity_(capacity),
+        pages_per_tenant_(pages_per_tenant),
+        bitmap_(tenants * pages_per_tenant, 0) {
+    PolicyContext ctx;
+    ctx.capacity = capacity;
+    ctx.num_tenants = tenants;
+    ctx.costs = costs;
+    ctx.seed = 1;
+    policy_.reset(ctx);
+  }
+
+  /// One request; returns the victim, if any.
+  std::optional<PageId> step(const Request& request) {
+    std::optional<PageId> victim;
+    if (bit(request.page) != 0) {
+      metrics.record_hit(request.tenant);
+      policy_.on_hit(request, time_);
+    } else {
+      metrics.record_miss(request.tenant);
+      if (size_ >= capacity_) {
+        victim = policy_.choose_victim(request, time_);
+        evict(*victim);
+      }
+      bit(request.page) = 1;
+      ++size_;
+      policy_.on_insert(request, time_);
+    }
+    ++time_;
+    return victim;
+  }
+
+  void evict(PageId page) {
+    bit(page) = 0;
+    --size_;
+    metrics.record_eviction(page_owner(page));
+    policy_.on_evict(page, page_owner(page), time_);
+  }
+
+  void shrink(std::size_t capacity) {
+    capacity_ = capacity;
+    while (size_ > capacity_)
+      evict(policy_.choose_victim(Request{0, 0}, time_));
+  }
+
+  [[nodiscard]] std::vector<PageId> resident() const {
+    std::vector<PageId> pages;
+    for (std::size_t i = 0; i < bitmap_.size(); ++i)
+      if (bitmap_[i] != 0)
+        pages.push_back(make_page(static_cast<TenantId>(i / pages_per_tenant_),
+                                  i % pages_per_tenant_));
+    std::sort(pages.begin(), pages.end());
+    return pages;
+  }
+
+  Metrics metrics;
+
+ private:
+  std::uint8_t& bit(PageId page) {
+    return bitmap_[page_owner(page) * pages_per_tenant_ + page_local(page)];
+  }
+
+  ReplacementPolicy& policy_;
+  std::size_t capacity_;
+  std::uint64_t pages_per_tenant_;
+  std::vector<std::uint8_t> bitmap_;
+  std::size_t size_ = 0;
+  TimeStep time_ = 0;
+};
+
+std::vector<PageId> resident_pages(const SimulatorSession& session) {
+  std::vector<PageId> pages;
+  for (const auto& [page, record] : session.cache().pages())
+    pages.push_back(page);
+  std::sort(pages.begin(), pages.end());
+  return pages;
+}
+
+/// Replays `trace` through a session over `in_session` and standalone over
+/// `standalone` (a second instance of the same configuration), shrinking
+/// the cache a third of the way in and invalidating the previous request's
+/// page every 97 steps over the last third.
+void expect_session_matches_standalone(
+    ReplacementPolicy& in_session, ReplacementPolicy& standalone,
+    const Trace& trace, std::size_t k, std::uint64_t pages_per_tenant,
+    const std::vector<CostFunctionPtr>* costs) {
+  const std::uint32_t tenants = trace.num_tenants();
+  SimulatorSession session(k, tenants, in_session, costs);
+  ASSERT_EQ(&session.cache(), in_session.residency())
+      << "the session must read the policy's table, not keep a second one";
+  BitmapDriver driver(standalone, k, tenants, pages_per_tenant, costs);
+  const std::size_t n = trace.size();
+  std::size_t victims = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == n / 3) {
+      session.resize(k - k / 3);
+      driver.shrink(k - k / 3);
+      ASSERT_EQ(resident_pages(session), driver.resident()) << "after shrink";
+    }
+    if (i > 2 * n / 3 && i % 97 == 0) {
+      session.invalidate(trace[i - 1].page);
+      driver.evict(trace[i - 1].page);
+    }
+    const StepEvent event = session.step(trace[i]);
+    ASSERT_EQ(event.victim, driver.step(trace[i])) << "step " << i;
+    if (event.victim.has_value()) ++victims;
+  }
+  EXPECT_GT(victims, n / 10);
+  EXPECT_EQ(resident_pages(session), driver.resident());
+  for (TenantId t = 0; t < tenants; ++t) {
+    EXPECT_EQ(session.metrics().hits(t), driver.metrics.hits(t)) << t;
+    EXPECT_EQ(session.metrics().misses(t), driver.metrics.misses(t)) << t;
+    EXPECT_EQ(session.metrics().evictions(t), driver.metrics.evictions(t))
+        << t;
+  }
+  EXPECT_EQ(in_session.perf_counters().heap_pops,
+            standalone.perf_counters().heap_pops);
+  EXPECT_EQ(in_session.perf_counters().index_rebuilds,
+            standalone.perf_counters().index_rebuilds);
+}
+
+TEST(OneResidencyTable, SessionMatchesStandaloneConvexCaching) {
+  constexpr std::uint32_t kTenants = 5;
+  constexpr std::uint64_t kPages = 8;
+  std::vector<CostFunctionPtr> sqrt_costs;
+  for (std::uint32_t t = 0; t < kTenants; ++t)
+    sqrt_costs.push_back(std::make_unique<SqrtCost>(1.0 + t));
+  const auto convex_costs = integer_costs(kTenants);
+  struct Config {
+    const char* name;
+    const std::vector<CostFunctionPtr>* costs;
+    ConvexCachingOptions options;
+  };
+  ConvexCachingOptions discrete;
+  discrete.derivative = DerivativeMode::kDiscreteMarginal;
+  ConvexCachingOptions windowed;
+  windowed.window_length = 400;
+  ConvexCachingOptions no_debit;
+  no_debit.debit_survivors = false;
+  ConvexCachingOptions no_bump;
+  no_bump.bump_victim_tenant = false;
+  const Config configs[] = {
+      {"analytic", &convex_costs, {}},
+      {"analytic-sqrt", &sqrt_costs, {}},
+      {"discrete-sqrt", &sqrt_costs, discrete},
+      {"windowed", &convex_costs, windowed},
+      {"no-debit", &convex_costs, no_debit},
+      {"no-bump", &sqrt_costs, no_bump},
+  };
+  for (const Config& config : configs)
+    for (const std::uint64_t seed : {41u, 42u}) {
+      SCOPED_TRACE(std::string(config.name) + " seed " +
+                   std::to_string(seed));
+      const Trace trace = mixed_trace(kTenants, kPages, 3000, seed);
+      ConvexCachingPolicy in_session(config.options);
+      ConvexCachingPolicy standalone(config.options);
+      expect_session_matches_standalone(in_session, standalone, trace, 12,
+                                        kPages, config.costs);
+    }
+}
+
+TEST(OneResidencyTable, SessionMatchesStandaloneLandlord) {
+  constexpr std::uint32_t kTenants = 5;
+  constexpr std::uint64_t kPages = 8;
+  const std::vector<double> weights = {1.0, 3.0, 0.5, 2.25, 7.0};
+  for (const std::uint64_t seed : {43u, 44u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Trace trace = mixed_trace(kTenants, kPages, 3000, seed);
+    LandlordPolicy in_session(weights);
+    LandlordPolicy standalone(weights);
+    expect_session_matches_standalone(in_session, standalone, trace, 12,
+                                      kPages, nullptr);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tie-breaking: equal effective budgets must resolve to the lowest page id,
 // across tenants, in the global index and the naive oracle alike.
 
@@ -319,8 +514,8 @@ TEST(EvictionIndexHitPath, HitsNeverPush) {
   for (std::size_t i = 0; i < warmup.size(); ++i) session.step(warmup[i]);
   ASSERT_GT(session.metrics().total_evictions(), 0u);
   std::vector<Request> resident;
-  for (const auto& [page, tenant] : session.cache().pages())
-    resident.push_back({tenant, page});
+  for (const auto& [page, record] : session.cache().pages())
+    resident.push_back({record.tenant, page});
   const std::size_t postings = policy.index_size();
   for (int pass = 0; pass < 3; ++pass)
     for (const Request& r : resident) {

@@ -138,7 +138,7 @@ struct BenchRow {
   std::size_t shards = 0;
   std::size_t threads = 0;
   double miss_cost = 0.0;      // Σ_i f_i(misses_i)
-  double shard_seconds = 0.0;  // Σ per-shard in-lock time
+  double shard_seconds = 0.0;  // Σ access_batch call time (all threads)
   double speedup = 0.0;        // vs the sweep's first (shards, threads) cell
   double cost_ratio = 0.0;     // miss_cost / unsharded miss_cost
   // --alloc-stats probe rows only (no requests_per_second, so the CI
@@ -293,11 +293,12 @@ void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
 /// submissions (1 = one request per call), keeping the min-wall-clock
 /// repeat. Batch submission is the frontend's intended steady-state
 /// interface: it amortises the shard lock and the clock reads over each
-/// locked group, engages the probe-ahead prefetch, and under kSeqlock lets
-/// the optimistic prefix of every group bypass the lock. The wall-clock is
-/// the replayer's, taken around its parallel section — under kSeqlock the
-/// frontend's own per-shard time covers only the locked residue (reported
-/// as shard_seconds) and would flatter the optimistic path. Returns the
+/// call, engages the probe-ahead prefetch, and under kSeqlock lets the
+/// optimistic runs of every batch bypass the lock. The wall-clock is the
+/// replayer's, taken around its parallel section; the frontend's own
+/// figure, the summed time of its access_batch calls across all worker
+/// threads, is reported as shard_seconds (over threads × wall-clock it is
+/// the replay's parallel efficiency). Returns the
 /// last repeat's cache for the observability snapshot.
 std::unique_ptr<ShardedCache> measure_sharded(
     BenchRow& row, const Trace& trace,

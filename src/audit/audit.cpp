@@ -4,7 +4,6 @@
 #include <cmath>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/invariants.hpp"
 #include "core/primal_dual.hpp"
@@ -265,13 +264,20 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
   // heap could surface a wrong minimum before it. Coverage is the exact
   // rule the argmin needs; soundness flags an over-estimate beyond the
   // tolerance.
-  std::unordered_map<PageId, double> min_score;
+  // The page → best-score map is scratch kept across calls, so a sampled
+  // step allocates nothing once it has grown to the resident set.
+  util::FlatMap<double>& min_score = min_score_scratch_;
+  min_score.clear();
+  min_score.reserve(table.size());
   for (const auto& entry : entries) {
     const auto it = table.find(entry.page);
     if (it == table.end() || it->second.tenant != entry.tenant)
       continue;  // dead posting — dropped lazily by the index, fine
-    const auto [slot, inserted] = min_score.try_emplace(entry.page, entry.score);
-    if (!inserted) slot->second = std::min(slot->second, entry.score);
+    const auto best = min_score.find(entry.page);
+    if (best == min_score.end())
+      min_score.insert_or_assign(entry.page, entry.score);
+    else
+      best->second = std::min(best->second, entry.score);
   }
   for (const auto& [page, state] : table) {
     const double current = state.key + policy.tenant_bump_[state.tenant];

@@ -45,6 +45,7 @@
 
 #include "core/convex_caching.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 
 namespace ccc {
 
@@ -156,6 +157,8 @@ class ConvexCachingAuditor final : public PolicyAuditor {
   bool all_convex_ = false;
 
   std::uint64_t evictions_seen_ = 0;
+  /// check_index's page → best posting score, reused across sampled steps.
+  util::FlatMap<double> min_score_scratch_;
   /// Request stream accumulated for the ALG-CONT shadow replay.
   std::vector<Request> observed_;
   bool shadow_overflow_ = false;

@@ -231,8 +231,10 @@ void snapshot_perf(MetricsRegistry& registry, const PerfCounters& perf,
                        "Hits served by the optimistic seqlock path", extra,
                        static_cast<double>(perf.lockfree_hits));
   registry.set_gauge("ccc_perf_wall_seconds",
-                     "Wall-clock time of the measured request loop", extra,
-                     perf.wall_seconds);
+                     "Summed elapsed time of the measured request calls (a "
+                     "sharded cache times each access/access_batch call, "
+                     "lock-free runs included)",
+                     extra, perf.wall_seconds);
 }
 
 void snapshot_sharded(MetricsRegistry& registry, const ShardedCache& cache,

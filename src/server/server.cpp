@@ -269,8 +269,11 @@ void CacheServer::accept_ready(int listener_fd, bool metrics_listener) {
 }
 
 void CacheServer::handle_readable(Connection& conn) {
-  // Read until EAGAIN, with a per-event byte cap so one firehose
-  // connection cannot starve the rest (level-triggered epoll re-notifies).
+  // Read until a short read, with a per-event byte cap so one firehose
+  // connection cannot starve the rest. A read that returns less than the
+  // chunk has emptied the socket for now, so the next read would only
+  // return EAGAIN; level-triggered epoll re-notifies for whatever arrives
+  // later, end of stream included.
   const std::size_t read_cap = kReadChunk * 16;
   std::size_t read_total = 0;
   static thread_local std::vector<char> chunk;
@@ -278,12 +281,11 @@ void CacheServer::handle_readable(Connection& conn) {
   while (read_total < read_cap && !conn.closed && !conn.close_after_flush) {
     const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
     if (n == 0) {
-      // Peer closed. Serve whatever complete frames arrived (the books
-      // must reflect every request the kernel delivered), then drop the
-      // connection and any half-frame with it.
-      flush_pending_batch(conn);
-      close_connection(conn);
-      return;
+      // Peer closed its side. Serve whatever complete frames arrived (the
+      // books must reflect every request the kernel delivered), send the
+      // answers, then close, dropping any half-frame.
+      conn.close_after_flush = true;
+      break;
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -298,6 +300,7 @@ void CacheServer::handle_readable(Connection& conn) {
       handle_metrics_bytes(conn, bytes);
     else
       handle_cache_bytes(conn, bytes);
+    if (static_cast<std::size_t>(n) < chunk.size()) break;
   }
   if (!conn.closed) {
     flush_pending_batch(conn);
@@ -390,8 +393,8 @@ void CacheServer::handle_cache_bytes(Connection& conn,
 
 void CacheServer::flush_pending_batch(Connection& conn) {
   if (conn.pending.empty()) return;
-  static thread_local std::vector<StepEvent> events;
-  events.clear();
+  static thread_local std::vector<std::uint8_t> hits;
+  hits.clear();
   // Stage stamps: queue = first enqueue → here; cache = access_batch;
   // encode = response serialization. Four clock reads per *batch* — the
   // per-request hit path is untouched (gated by the e11 regression cells).
@@ -400,19 +403,18 @@ void CacheServer::flush_pending_batch(Connection& conn) {
       conn.first_enqueue_ns != 0 && batch_start_ns > conn.first_enqueue_ns
           ? batch_start_ns - conn.first_enqueue_ns
           : 0;
-  cache_.access_batch(std::span<const Request>(conn.pending), events);
+  cache_.access_batch(std::span<const Request>(conn.pending), hits);
   const std::uint64_t cache_done_ns = now_ns();
   const std::uint64_t cache_ns = cache_done_ns - batch_start_ns;
   batch_size_hist_.record(conn.pending.size());
   ++counters_.batches;
   counters_.requests += conn.pending.size();
   conn.requests_served += conn.pending.size();
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     if (static_cast<Opcode>(conn.pending_ops[i]) == Opcode::kSet)
       append_response(conn.out, Status::kOk);
     else
-      append_response(conn.out,
-                      events[i].hit ? Status::kHit : Status::kMiss);
+      append_response(conn.out, hits[i] != 0 ? Status::kHit : Status::kMiss);
   }
   const std::uint64_t encode_done_ns = now_ns();
   const std::uint64_t encode_ns = encode_done_ns - cache_done_ns;

@@ -13,17 +13,20 @@
 /// inside the cache (and, later, more server processes), not from sharing
 /// connections across threads.
 ///
-/// Batching: each readiness event drains one connection's socket, decodes
-/// every complete frame, and folds the contiguous run of GET/SET requests
-/// into a single ShardedCache::access_batch call (bounded by
-/// `batch_limit`). Responses are emitted in request order per connection,
-/// so pipelining needs no sequence numbers. Determinism: access_batch
-/// preserves per-shard request order within a batch, and batches from one
-/// connection are processed in arrival order — so as long as each shard's
-/// pages arrive via a single connection (how e11 partitions its trace),
-/// the server-side books are bit-identical to a direct single-threaded
-/// replay of the same trace, no matter how the event loop interleaves
-/// connections (DESIGN.md §12).
+/// Batching: each readiness event reads one connection's socket until a
+/// read comes back short (the socket is then empty; level-triggered epoll
+/// reports whatever arrives next), decodes every complete frame, and folds
+/// the contiguous run of GET/SET requests into a single
+/// ShardedCache::access_batch call (bounded by `batch_limit`) that returns
+/// one hit flag per request. A peer that closes its side still gets every
+/// answer before the server closes the connection. Responses are emitted
+/// in request order per connection, so pipelining needs no sequence
+/// numbers. Determinism: access_batch preserves per-shard request order
+/// within a batch, and batches from one connection are processed in
+/// arrival order — so as long as each shard's pages arrive via a single
+/// connection (how e11 partitions its trace), the server-side books are
+/// bit-identical to a direct single-threaded replay of the same trace, no
+/// matter how the event loop interleaves connections (DESIGN.md §12).
 ///
 /// Backpressure: a connection whose pending output exceeds
 /// `max_output_backlog` stops being read (its EPOLLIN is masked) until the

@@ -18,9 +18,15 @@ ParallelReplayResult ParallelReplayer::replay(const Trace& trace,
   CCC_REQUIRE(trace.num_tenants() <= cache.num_tenants(),
               "trace has more tenants than the sharded cache");
 
-  // Partition the trace by shard, preserving order within each shard.
+  // Partition the trace by shard, preserving order within each shard. The
+  // hash spreads pages evenly, so a shard's share is near n/S: reserving
+  // that plus a quarter's slack for hot pages fills each stream without
+  // regrowing it.
   const std::size_t num_shards = cache.num_shards();
+  const std::size_t share = trace.size() / num_shards;
   std::vector<std::vector<Request>> streams(num_shards);
+  for (std::vector<Request>& stream : streams)
+    stream.reserve(share + share / 4);
   for (const Request& request : trace)
     streams[cache.shard_of(request.page)].push_back(request);
 

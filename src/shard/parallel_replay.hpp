@@ -31,10 +31,11 @@ struct ParallelReplayResult {
   Metrics metrics{1};            ///< aggregated across shards
   /// Aggregated counters. `perf.wall_seconds` is the *elapsed* time of the
   /// parallel section (what throughput is computed from); the summed
-  /// per-shard processing time that ShardedCache::aggregated_perf reports
-  /// is preserved in `shard_seconds` below.
+  /// per-call time that ShardedCache::aggregated_perf reports is preserved
+  /// in `shard_seconds` below.
   PerfCounters perf;
-  /// Σ over shards of in-lock processing time. shard_seconds / (threads ×
+  /// Σ over the cache's access_batch calls of their elapsed time
+  /// (ShardedCache::aggregated_perf). shard_seconds / (threads ×
   /// perf.wall_seconds) is the parallel efficiency of the replay.
   double shard_seconds = 0.0;
   double miss_cost = 0.0;        ///< Σ_i f_i(misses_i); 0 without cost functions

@@ -154,8 +154,10 @@ class ShardedCache {
   StepEvent access(const Request& request);
 
   /// Groups `batch` by shard, then processes each group under one lock
-  /// acquisition. Thread-safe; per-shard request order within the batch is
-  /// preserved.
+  /// acquisition. A batch whose requests all belong to one shard (a
+  /// ParallelReplayer stream, a single-shard cache) is processed as it
+  /// stands, without grouping. Thread-safe; per-shard request order within
+  /// the batch is preserved.
   void access_batch(std::span<const Request> batch);
 
   /// As above, additionally appending one StepEvent per request to
@@ -165,6 +167,12 @@ class ShardedCache {
   /// impossible for callers to match an event to its request.)
   void access_batch(std::span<const Request> batch,
                     std::vector<StepEvent>& events);
+
+  /// As above, but appends only the hit flag of each request (1 = hit,
+  /// 0 = miss) to `hits`, in batch order — what a server needs to answer
+  /// GETs, without building a StepEvent per request.
+  void access_batch(std::span<const Request> batch,
+                    std::vector<std::uint8_t>& hits);
 
   [[nodiscard]] std::size_t shard_of(PageId page) const noexcept;
   [[nodiscard]] std::size_t num_shards() const noexcept {
@@ -183,16 +191,16 @@ class ShardedCache {
   /// its own share.
   [[nodiscard]] Metrics aggregated_metrics() const;
 
-  /// Index/work counters summed across shards via PerfCounters::merge —
-  /// every field, including wall-clock. Each shard accumulates the time
-  /// spent processing its requests under its own lock, so the aggregated
-  /// `wall_seconds` is the **sum of per-shard processing time**: under a
-  /// serial replay it equals the elapsed request-loop time; under a
-  /// parallel replay it is the combined CPU-side shard time, an upper
-  /// bound on the elapsed wall-clock (ParallelReplayer measures elapsed
-  /// time around its parallel section and reports that separately).
-  /// Either way `ns_per_request()` on the aggregate is meaningful — it is
-  /// the average per-request processing cost inside the shard locks.
+  /// Index/work counters summed across shards via PerfCounters::merge.
+  /// `wall_seconds` is the summed elapsed time of every access() and
+  /// access_batch() call: each call reads the clock once on entry and once
+  /// on exit. Under a serial replay it equals the request loop's time;
+  /// under concurrent callers it is their combined time, which can exceed
+  /// the elapsed wall-clock (ParallelReplayer measures elapsed time around
+  /// its parallel section and reports that separately). Under kSeqlock it
+  /// covers lock-free runs and lock waits too, not just the time spent
+  /// inside shard locks. Either way `ns_per_request()` on the aggregate is
+  /// the average cost of a request as its caller sees it.
   [[nodiscard]] PerfCounters aggregated_perf() const;
 
   /// Σ_i f_i(Σ_s misses_{i,s}) under the constructor's cost functions;
@@ -237,10 +245,6 @@ class ShardedCache {
     /// and never reseated).
     std::unique_ptr<ReplacementPolicy> policy CCC_PT_GUARDED_BY(mutex);
     std::unique_ptr<SimulatorSession> session CCC_PT_GUARDED_BY(mutex);
-    /// Time spent processing this shard's requests (timed per access()
-    /// call / per batch group, so batched ingestion amortizes the clock
-    /// reads). Summed by aggregated_perf().
-    double wall_seconds CCC_GUARDED_BY(mutex) = 0.0;
     mutable util::Mutex mutex;
 
     // ---- seqlock hit path (allocated only under HitPath::kSeqlock) ----
@@ -262,12 +266,33 @@ class ShardedCache {
     std::unique_ptr<std::atomic<std::uint64_t>[]> lockfree_hits;
   };
 
+  /// Where process_group writes the outcome of `batch[i]`: the full event
+  /// at `events[i]`, the hit flag at `hits[i]`, both or neither.
+  struct Outcomes {
+    StepEvent* events = nullptr;
+    std::uint8_t* hits = nullptr;
+
+    void record(std::size_t i, const StepEvent& event) const {
+      if (events != nullptr) events[i] = event;
+      if (hits != nullptr) hits[i] = event.hit ? 1 : 0;
+    }
+    /// A hit served lock-free: the event is built only if asked for.
+    void record_fresh_hit(std::size_t i, const Request& request) const {
+      if (events != nullptr) {
+        events[i] = StepEvent{};
+        events[i].request = request;
+        events[i].hit = true;
+      }
+      if (hits != nullptr) hits[i] = 1;
+    }
+  };
+
   /// Lock-free fast path: returns true iff `request` was a fresh hit and
-  /// has been fully served (event filled in, hit tallied). Must NOT hold
-  /// the shard mutex (the whole point; also keeps the analysis honest
-  /// about which side of the protocol this is).
-  bool try_seqlock_hit(Shard& shard, const Request& request,
-                       StepEvent& event) const CCC_EXCLUDES(shard.mutex);
+  /// has been fully served (hit tallied). Must NOT hold the shard mutex
+  /// (the whole point; also keeps the analysis honest about which side of
+  /// the protocol this is).
+  bool try_seqlock_hit(Shard& shard, const Request& request) const
+      CCC_EXCLUDES(shard.mutex);
   /// Mirrors one locked step's outcome into the shard's residency table.
   /// Returns true iff the event was a hit whose stamp was already current
   /// — i.e. the optimistic path would have served it; process_group uses
@@ -281,18 +306,23 @@ class ShardedCache {
   /// locked run that ends once a streak of already-fresh hits shows the
   /// optimistic path is viable again. Locked runs use probe-ahead
   /// prefetching. `group == nullptr` means the slice is the whole batch
-  /// (single-shard fast path). `events`, when non-null, receives the
-  /// outcome of `batch[i]` at `events[i]`.
+  /// (single-shard fast path). The outcome of `batch[i]` goes to `out` at
+  /// index i.
   void process_group(Shard& shard, std::span<const Request> batch,
                      const std::vector<std::size_t>* group,
-                     StepEvent* events);
-  /// Both access_batch overloads: groups `batch` by shard (single-shard
-  /// caches skip the grouping) and hands each group to process_group.
-  void dispatch_batch(std::span<const Request> batch, StepEvent* events);
+                     const Outcomes& out);
+  /// access() and every access_batch overload: hands a batch that belongs
+  /// to one shard straight to process_group, groups any other batch by
+  /// shard first, and adds the call's elapsed time to `busy_ns_`.
+  void dispatch_batch(std::span<const Request> batch, const Outcomes& out);
 
   ShardedCacheOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Σ of the elapsed nanoseconds of every access()/access_batch() call
+  /// (aggregated_perf's wall_seconds). Relaxed: a monotone tally that no
+  /// protocol decision reads.
+  std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 }  // namespace ccc

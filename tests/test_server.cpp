@@ -370,6 +370,37 @@ TEST(Server, MidFrameConnectionDropServesCompletePrefixAndLeaksNothing) {
   EXPECT_EQ(counters.protocol_errors, 0u);  // a clean close is not an error
 }
 
+// A peer that sends a few frames and then shuts down its write side gets
+// every answer: the server stops reading at the short read, answers what it
+// read, and closes once a later read reports end of stream.
+TEST(Server, HalfClosedPeerIsAnsweredInFullThenClosed) {
+  constexpr std::size_t kFrames = 5;
+  ServerHarness harness;
+  std::string wire;
+  for (std::size_t i = 0; i < kFrames; ++i)
+    server::append_request(wire, server::Opcode::kGet, 0, make_page(0, i % 3));
+  server::BlockingClient client(kLoopback, harness.port());
+  client.append_raw(wire);
+  client.flush();
+  client.shutdown_write();
+
+  std::vector<StatusByte> statuses;
+  client.read_responses(kFrames, [&](const server::ResponseMsg& msg) {
+    statuses.push_back(msg.status);
+  });
+  const auto miss = static_cast<StatusByte>(server::Status::kMiss);
+  const auto hit = static_cast<StatusByte>(server::Status::kHit);
+  EXPECT_EQ(statuses, (std::vector<StatusByte>{miss, miss, miss, hit, hit}));
+  char byte = 0;
+  EXPECT_EQ(::read(client.fd(), &byte, 1), 0) << "the server must close";
+
+  EXPECT_EQ(harness.stop(), 0);
+  const server::ServerCounters counters = harness.server->counters();
+  EXPECT_EQ(counters.requests, kFrames);
+  EXPECT_EQ(counters.connections_closed, 1u);
+  EXPECT_EQ(counters.bytes_read, wire.size()) << "no byte may stay unread";
+}
+
 TEST(Server, OversizedFrameGetsErrorReplyWithoutTearingDownOthers) {
   ServerHarness harness;
   server::BlockingClient bystander(kLoopback, harness.port());

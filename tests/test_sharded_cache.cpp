@@ -380,8 +380,8 @@ TEST(ParallelReplayer, ReportsElapsedAndPerShardTime) {
   ParallelReplayer replayer(options);
   const ParallelReplayResult result = replayer.replay(trace, cache);
   // perf.wall_seconds is the parallel-section elapsed time; shard_seconds
-  // is the sum of per-shard in-lock time, so it can exceed elapsed but
-  // never be zero when work was done.
+  // is the summed time of the access_batch calls, so it can exceed elapsed
+  // but never be zero when work was done.
   EXPECT_GT(result.perf.wall_seconds, 0.0);
   EXPECT_GT(result.shard_seconds, 0.0);
 }
@@ -746,6 +746,158 @@ TEST(ShardedCacheSeqlock, ConcurrentStressWithRebalanceIsRaceFreeAndConserving) 
   EXPECT_EQ(perf.requests, writers * requests_per_writer);
   const auto caps = cache.capacities();
   EXPECT_EQ(std::accumulate(caps.begin(), caps.end(), std::size_t{0}), 64u);
+}
+
+// ------------------------------------------------ single-shard batches
+
+/// Field-by-field equality of two outcome sequences.
+void expect_same_events(const std::vector<StepEvent>& actual,
+                        const std::vector<StepEvent>& expected,
+                        const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].request, expected[i].request) << what << " i=" << i;
+    ASSERT_EQ(actual[i].hit, expected[i].hit) << what << " i=" << i;
+    ASSERT_EQ(actual[i].victim, expected[i].victim) << what << " i=" << i;
+    ASSERT_EQ(actual[i].victim_owner, expected[i].victim_owner)
+        << what << " i=" << i;
+  }
+}
+
+void expect_same_books(const ShardedCache& actual, const ShardedCache& expected,
+                       std::uint32_t tenants, const std::string& what) {
+  const Metrics a = actual.aggregated_metrics();
+  const Metrics b = expected.aggregated_metrics();
+  for (TenantId t = 0; t < tenants; ++t) {
+    EXPECT_EQ(a.hits(t), b.hits(t)) << what << " tenant " << t;
+    EXPECT_EQ(a.misses(t), b.misses(t)) << what << " tenant " << t;
+    EXPECT_EQ(a.evictions(t), b.evictions(t)) << what << " tenant " << t;
+  }
+  EXPECT_EQ(actual.global_miss_cost(), expected.global_miss_cost()) << what;
+}
+
+// A batch whose requests all belong to one shard skips the grouping. Feeding
+// each shard its own stream (that path, as ParallelReplayer does) must give
+// the events and books of mixed batches (the grouping path) and of one
+// access() at a time, on both hit paths.
+TEST(ShardedCache, SingleShardBatchesMatchMixedBatches) {
+  const std::uint32_t tenants = 5;
+  const std::size_t capacity = 40;
+  const std::size_t shards = 4;
+  const Trace trace = zipf_trace(tenants, 24, 6000, 101);
+  const auto costs = quadratic_costs(tenants);
+
+  for (const HitPath hit_path : {HitPath::kLocked, HitPath::kSeqlock}) {
+    const std::string what =
+        hit_path == HitPath::kLocked ? "locked" : "seqlock";
+    auto options = options_for(capacity, shards, tenants);
+    options.hit_path = hit_path;
+
+    ShardedCache one_by_one(options, nullptr, &costs);
+    std::vector<StepEvent> expected;
+    for (const Request& request : trace)
+      expected.push_back(one_by_one.access(request));
+
+    ShardedCache mixed(options, nullptr, &costs);
+    std::vector<StepEvent> mixed_events;
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<std::size_t> batch_size(2, 97);
+    for (std::size_t begin = 0; begin < trace.size();) {
+      const std::size_t count =
+          std::min(batch_size(rng), trace.size() - begin);
+      mixed.access_batch(
+          std::span<const Request>(&trace.requests()[begin], count),
+          mixed_events);
+      begin += count;
+    }
+
+    // Per-shard streams in trace order, each replayed in its own batches;
+    // the events are put back at their requests' trace positions.
+    ShardedCache streamed(options, nullptr, &costs);
+    std::vector<std::vector<std::size_t>> positions(shards);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      positions[streamed.shard_of(trace[i].page)].push_back(i);
+    std::vector<StepEvent> streamed_events(trace.size());
+    for (std::size_t s = 0; s < shards; ++s) {
+      std::vector<Request> stream;
+      for (const std::size_t i : positions[s]) stream.push_back(trace[i]);
+      std::vector<StepEvent> events;
+      for (std::size_t begin = 0; begin < stream.size();) {
+        const std::size_t count =
+            std::min(batch_size(rng), stream.size() - begin);
+        streamed.access_batch(
+            std::span<const Request>(&stream[begin], count), events);
+        begin += count;
+      }
+      ASSERT_EQ(events.size(), positions[s].size());
+      for (std::size_t j = 0; j < events.size(); ++j)
+        streamed_events[positions[s][j]] = events[j];
+    }
+
+    expect_same_events(mixed_events, expected, what + " mixed");
+    expect_same_events(streamed_events, expected, what + " streamed");
+    expect_same_books(mixed, one_by_one, tenants, what + " mixed");
+    expect_same_books(streamed, one_by_one, tenants, what + " streamed");
+    if (hit_path == HitPath::kSeqlock) {
+      EXPECT_GT(streamed.aggregated_perf().lockfree_hits, 0u);
+    }
+  }
+}
+
+// The hit-flag overload is the events overload minus the events: one byte
+// per request, in batch order, equal to the event's hit bit.
+TEST(ShardedCache, HitFlagsMatchEventsOnBothHitPaths) {
+  const std::uint32_t tenants = 4;
+  const Trace trace = zipf_trace(tenants, 24, 4000, 103);
+  const auto costs = quadratic_costs(tenants);
+
+  for (const HitPath hit_path : {HitPath::kLocked, HitPath::kSeqlock}) {
+    for (const std::size_t shards : {1u, 4u}) {
+      auto options = options_for(32, shards, tenants);
+      options.hit_path = hit_path;
+      ShardedCache with_events(options, nullptr, &costs);
+      ShardedCache with_hits(options, nullptr, &costs);
+      std::vector<StepEvent> events;
+      std::vector<std::uint8_t> hits{7};  // existing contents must stay
+      for (std::size_t begin = 0; begin < trace.size(); begin += 64) {
+        const std::span<const Request> batch(
+            &trace.requests()[begin],
+            std::min<std::size_t>(64, trace.size() - begin));
+        with_events.access_batch(batch, events);
+        with_hits.access_batch(batch, hits);
+      }
+      ASSERT_EQ(hits.size(), 1 + events.size());
+      EXPECT_EQ(hits[0], 7);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(hits[1 + i], events[i].hit ? 1 : 0)
+            << "shards=" << shards << " i=" << i;
+      }
+      expect_same_books(with_hits, with_events, tenants, "hit flags");
+    }
+  }
+}
+
+// aggregated_perf().wall_seconds times every call, not only locked runs: a
+// stream served entirely lock-free must still add time.
+TEST(ShardedCacheSeqlock, WallSecondsCoverLockFreeRuns) {
+  const std::uint32_t tenants = 4;
+  const std::uint64_t pages_per_tenant = 8;
+  const auto costs = quadratic_costs(tenants);
+  // Room for every page: no eviction ever stales an entry.
+  ShardedCache cache(seqlock_options(64, 2, tenants), nullptr, &costs);
+  std::vector<Request> stream;
+  for (TenantId t = 0; t < tenants; ++t)
+    for (std::uint64_t p = 0; p < pages_per_tenant; ++p)
+      stream.push_back(Request{t, make_page(t, p)});
+  cache.access_batch(stream);  // warm: every page inserted and fresh
+
+  const PerfCounters before = cache.aggregated_perf();
+  for (int round = 0; round < 50; ++round) cache.access_batch(stream);
+  const PerfCounters after = cache.aggregated_perf();
+
+  ASSERT_EQ(after.lockfree_hits - before.lockfree_hits, 50 * stream.size())
+      << "the warm stream must be served lock-free throughout";
+  EXPECT_GT(after.wall_seconds, before.wall_seconds);
 }
 
 }  // namespace
